@@ -1,14 +1,14 @@
 """Spectral measures in their four concrete shapes, plus quadrature engines.
 
 Densities and weights always arrive as closures from the caller; this module
-only integrates them. Every engine refines until two successive node
-doublings agree within the configured tolerance, so a reported value carries
-its own stability check. Reductions run in a fixed index order regardless of
-thread count, which keeps results bit-stable.
+only integrates them. Every continuous engine is a rule n -> (nodes,
+weights), and one ladder refines it by node doublings until two successive
+levels agree within the configured tolerance, so a reported value carries
+its own stability check. Reductions run in a fixed index order, which keeps
+results bit-stable.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,13 +43,19 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Engine knobs: initial resolution, truncation, tolerance, refinement."""
+    """Engine knobs: initial resolution, truncation, tolerance, refinement.
+
+    The stopping test is per entry: a value is accepted at the first node
+    doubling where it moves by |Δ| <= tol * max(1, |value|). That is an
+    absolute test while |value| < 1 and a relative one above. A discrete
+    sum stops once its next term is at most tol times the partial sum, or
+    after ``tail_terms`` points.
+    """
 
     nodes: int = 64
     tail_terms: int = 60
     tol: float = 1e-10
     max_refinements: int = 10
-    threads: int = 1          # node evaluation only; reduction order is fixed
 
     def __post_init__(self):
         if self.nodes < 8:
@@ -60,8 +66,6 @@ class QuadratureConfig:
             raise DomainError("tol must be positive")
         if self.max_refinements < 1:
             raise DomainError("max_refinements must be positive")
-        if self.threads < 1:
-            raise DomainError("threads must be positive")
 
 
 @dataclass(frozen=True)
@@ -136,15 +140,13 @@ def discrete(points, support_meta=""):
                    support_meta=support_meta)
 
 
-# -- node evaluation (deterministic reduction) ------------------------------
+# -- node evaluation and the refinement ladder -----------------------------
 
 
-def _eval_nodes(f, pts, threads):
+def _eval_nodes(f, pts):
     """f at every node, returned in node order.
 
-    Tries one vectorized call first; scalar closures fall back to a loop,
-    optionally split across threads. The output array is always filled by
-    node index, so downstream sums do not depend on the thread count.
+    Tries one vectorized call first; scalar closures fall back to a loop.
     """
     pts = np.asarray(pts)
     try:
@@ -153,138 +155,164 @@ def _eval_nodes(f, pts, threads):
             return v
     except (TypeError, ValueError):
         pass
-    if threads <= 1:
-        return np.array([complex(f(p)) for p in pts], dtype=complex)
-    out = np.empty(pts.shape, dtype=complex)
-    n = len(pts)
-    chunk = -(-n // threads)
+    return np.array([complex(f(p)) for p in pts], dtype=complex)
 
-    def work(lo):
-        for i in range(lo, min(lo + chunk, n)):
-            out[i] = complex(f(pts[i]))
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, range(0, n, chunk)))
+def _eval_rows(fs, pts):
+    """Row k holds fs[k] at every node."""
+    out = np.empty((len(fs), len(pts)), dtype=complex)
+    for k, f in enumerate(fs):
+        out[k] = _eval_nodes(f, pts)
     return out
 
 
-def _refine(level_value, cfg, what):
-    """Run level_value(n) on a doubling ladder until two levels agree."""
+def _level_gram(rule, n, left, right):
+    """(L * w) @ R.T at the n-node level of a rule.
+
+    The node arrays live only in this frame, so an exception the ladder
+    raises later does not keep them alive through its traceback.
+    """
+    t, w = rule(n)
+    L = _eval_rows(left, t)
+    L *= w
+    return L @ _eval_rows(right, t).T
+
+
+def _ladder(m, left, right, cfg):
+    """G[i, j] = integral of left[i](t) right[j](t) dα(t), by one ladder.
+
+    Every level evaluates each member once and forms G = (L * w) @ R.T
+    from the rule's nodes and weights. An entry is frozen at the first
+    doubling that moves it by at most tol * max(1, |value|); later levels
+    evaluate only the rows and columns that still hold an open entry.
+    """
+    rule = _rule(m)
+    G = np.zeros((len(left), len(right)), dtype=complex)
+    open_ = np.ones(G.shape, dtype=bool)
+    rows, cols = np.arange(len(left)), np.arange(len(right))
     n = cfg.nodes
-    prev = level_value(n)
-    for _ in range(cfg.max_refinements):
+    for level in range(cfg.max_refinements + 1):
+        cur = _level_gram(rule, n, [left[i] for i in rows],
+                          [right[j] for j in cols])
+        block = np.ix_(rows, cols)
+        prev, live = G[block], open_[block]
+        G[block] = np.where(live, cur, prev)
+        if level:
+            bound = cfg.tol * np.maximum(1.0, np.abs(cur))
+            open_[block] = live & ~(np.abs(cur - prev) <= bound)
+            if not open_.any():
+                return G
+            rows = np.flatnonzero(open_.any(axis=1))
+            cols = np.flatnonzero(open_.any(axis=0))
         n *= 2
-        cur = level_value(n)
-        if abs(cur - prev) <= cfg.tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
+    entries = [tuple(int(k) for k in ij) for ij in np.argwhere(open_)]
     raise ConvergenceError(
-        f"{what} did not stabilize within {cfg.max_refinements} doublings")
+        f"{m.variant} quadrature did not stabilize within "
+        f"{cfg.max_refinements} doublings; open entries (i, j): {entries}")
 
 
-# -- the four engines --------------------------------------------------------
+# -- the four engines: n -> (nodes, weights) ----------------------------------
+#
+# The weights carry the density, the Jacobian of any map and the rule
+# weights, so every engine integrates f as sum(f(nodes) * weights).
 
 
-def _circle_level(m, f, cfg):
-    def level(n):
+def _circle_rule(m):
+    def rule(n):
         theta = 2.0 * math.pi * np.arange(n) / n
         t = m.radius * np.exp(1j * theta)
-        fv = _eval_nodes(f, t, cfg.threads)
-        dv = _eval_nodes(m.density, theta, cfg.threads)
-        vals = fv * dv * 1j * t * (2.0 * math.pi / n)
-        return complex(np.sum(vals))
-    return level
+        dv = _eval_nodes(m.density, theta)
+        return t, dv * 1j * t * (2.0 * math.pi / n)
+    return rule
 
 
-def _chebyshev_level(m, f, cfg):
+def _chebyshev_rule(m):
     # nodes cos(j pi/(n+1)); the weight's sqrt factor is divided back out
-    def level(n):
-        j = np.arange(1, n + 1)
-        theta = j * math.pi / (n + 1)
+    def rule(n):
+        theta = np.arange(1, n + 1) * math.pi / (n + 1)
         x = np.cos(theta)
         s = np.sin(theta)
-        fv = _eval_nodes(f, x, cfg.threads)
-        wv = _eval_nodes(m.weight, x, cfg.threads)
-        vals = fv * (wv / s) * (math.pi / (n + 1)) * s * s
-        return complex(np.sum(vals))
-    return level
+        wv = _eval_nodes(m.weight, x)
+        return x, (wv / s) * (math.pi / (n + 1)) * s * s
+    return rule
 
 
-def _theta_level(m, f, cfg):
+def _theta_rule(m):
     # trapezoid on [0, pi] for integrands given as w(cos t) sin t
-    def level(n):
+    def rule(n):
         theta = np.linspace(0.0, math.pi, n + 1)
-        x = np.cos(theta)
-        fv = _eval_nodes(f, x, cfg.threads)
-        dv = _eval_nodes(m.theta_density, theta, cfg.threads)
-        vals = fv * dv
-        h = math.pi / n
-        return complex(h * (np.sum(vals[1:-1]) + 0.5 * (vals[0] + vals[-1])))
-    return level
+        w = _eval_nodes(m.theta_density, theta) * (math.pi / n)
+        w[[0, -1]] *= 0.5
+        return np.cos(theta), w
+    return rule
 
 
-def _gauss_legendre_level(m, f, cfg):
-    if math.isinf(m.lo):
-        # map x = hi - (s/(1-s))^2, s in (0, 1); pulls the left tail onto a
-        # finite panel while keeping sqrt(hi - x) smooth at the near end
-        hi = m.hi
+def _gauss_legendre_rule(m):
+    # 16-point panels; a left-infinite interval is mapped by
+    # x = hi - (s/(1-s))^2, s in (0, 1), which pulls the left tail onto a
+    # finite panel while keeping sqrt(hi - x) smooth at the near end
+    infinite = math.isinf(m.lo)
+    seg_lo, seg_hi = (0.0, 1.0) if infinite else (m.lo, m.hi)
 
-        def integrand(s):
-            x = hi - (s / (1.0 - s)) ** 2
-            jac = 2.0 * s / (1.0 - s) ** 3
-            fv = _eval_nodes(f, x, cfg.threads)
-            wv = _eval_nodes(m.weight, x, cfg.threads)
-            return fv * wv * jac
-        seg_lo, seg_hi = 0.0, 1.0
-    else:
-        def integrand(x):
-            fv = _eval_nodes(f, x, cfg.threads)
-            wv = _eval_nodes(m.weight, x, cfg.threads)
-            return fv * wv
-        seg_lo, seg_hi = m.lo, m.hi
-
-    def level(n):
-        panels = max(1, n // _GL_ORDER)
-        edges = np.linspace(seg_lo, seg_hi, panels + 1)
-        total = 0.0 + 0.0j
-        for k in range(panels):
-            a, b = edges[k], edges[k + 1]
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            vals = integrand(mid + half * _GL_NODES)
-            total += half * complex(np.dot(_GL_WEIGHTS, vals))
-        return total
-    return level
+    def rule(n):
+        edges = np.linspace(seg_lo, seg_hi, max(1, n // _GL_ORDER) + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        s = (mid + half * _GL_NODES).ravel()
+        w = (half * _GL_WEIGHTS).ravel()
+        if not infinite:
+            return s, w * _eval_nodes(m.weight, s)
+        x = m.hi - (s / (1.0 - s)) ** 2
+        return x, w * _eval_nodes(m.weight, x) * (2.0 * s / (1.0 - s) ** 3)
+    return rule
 
 
-def _line_level(m, f, cfg):
+def _line_rule(m):
     # midpoint grid: same rule as the trapezoid on the pi-periodic
     # extension through y = inf, but it never evaluates the endpoints
-    def level(n):
+    def rule(n):
         theta = -0.5 * math.pi + (np.arange(n) + 0.5) * math.pi / n
         y = np.tan(theta)
-        t = m.re + 1j * y
-        fv = _eval_nodes(f, t, cfg.threads)
-        dv = _eval_nodes(m.density, y, cfg.threads)
-        jac = 1.0 / np.cos(theta) ** 2
-        return complex((math.pi / n) * np.sum(fv * dv * jac))
-    return level
+        dv = _eval_nodes(m.density, y)
+        return m.re + 1j * y, (math.pi / n) * dv / np.cos(theta) ** 2
+    return rule
+
+
+def _rule(m):
+    if m.variant == CIRCLE:
+        return _circle_rule(m)
+    if m.variant == LINE:
+        return _line_rule(m)
+    if m.variant == INTERVAL:
+        if m.chebyshev_second_kind:
+            return _chebyshev_rule(m)
+        if m.theta_density is not None:
+            return _theta_rule(m)
+        return _gauss_legendre_rule(m)
+    raise DomainError(f"unknown measure variant {m.variant!r}")
 
 
 def _discrete_sum(m, f, cfg):
     partial = 0.0 + 0.0j
     limit = min(len(m.points), cfg.tail_terms)
+    z, w = m.points[0]
+    fz = complex(f(z))
     for k in range(limit):
-        z, w = m.points[k]
-        partial += complex(f(z)) * complex(w)
+        partial += fz * complex(w)
         if k + 1 < limit:
-            zn, wn = m.points[k + 1]
-            if wn == 0.0:
+            z, w = m.points[k + 1]
+            if w == 0.0:
                 break
-            nxt = abs(complex(f(zn)) * complex(wn))
+            # the look-ahead value is the next term's, so f runs once a point
+            fz = complex(f(z))
+            nxt = abs(fz * complex(w))
             if k >= 1 and nxt <= cfg.tol * max(abs(partial), 1e-300):
                 break
     return partial
+
+
+def _one(t):
+    return np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
 
 
 def integrate(m, f, cfg=None):
@@ -292,20 +320,7 @@ def integrate(m, f, cfg=None):
     cfg = cfg or QuadratureConfig()
     if m.variant == DISCRETE:
         return _discrete_sum(m, f, cfg)
-    if m.variant == CIRCLE:
-        level = _circle_level(m, f, cfg)
-    elif m.variant == LINE:
-        level = _line_level(m, f, cfg)
-    elif m.variant == INTERVAL:
-        if m.chebyshev_second_kind:
-            level = _chebyshev_level(m, f, cfg)
-        elif m.theta_density is not None:
-            level = _theta_level(m, f, cfg)
-        else:
-            level = _gauss_legendre_level(m, f, cfg)
-    else:
-        raise DomainError(f"unknown measure variant {m.variant!r}")
-    return _refine(level, cfg, f"{m.variant} quadrature")
+    return complex(_ladder(m, [f], [_one], cfg)[0, 0])
 
 
 def _support_distance(m, z):
@@ -335,8 +350,7 @@ def stieltjes(m, z, cfg=None):
 
 def normalization(m, cfg=None):
     """Total mass of the measure."""
-    return integrate(m, lambda t: np.ones_like(t) if isinstance(
-        t, np.ndarray) else 1.0, cfg)
+    return integrate(m, _one, cfg)
 
 
 def _family_get(fam, i):
@@ -347,12 +361,18 @@ def _family_get(fam, i):
 
 
 def weighted_gram(m, left, right, N, cfg=None):
-    """G[i][j] = integral of left_i(t) right_j(t) dα(t), 0 <= i, j < N."""
+    """G[i][j] = integral of left_i(t) right_j(t) dα(t), 0 <= i, j < N.
+
+    Continuous measures run one refinement ladder for the whole matrix; a
+    discrete measure truncates each entry's sum on its own.
+    """
     cfg = cfg or QuadratureConfig()
+    ls = [_family_get(left, i) for i in range(N)]
+    rs = [_family_get(right, j) for j in range(N)]
+    if m.variant != DISCRETE:
+        return _ladder(m, ls, rs, cfg)
     G = np.empty((N, N), dtype=complex)
-    for i in range(N):
-        li = _family_get(left, i)
-        for j in range(N):
-            rj = _family_get(right, j)
+    for i, li in enumerate(ls):
+        for j, rj in enumerate(rs):
             G[i, j] = integrate(m, lambda t: li(t) * rj(t), cfg)
     return G

@@ -151,19 +151,26 @@ def _sum_terms(step, stop, eps, max_terms):
 
 
 def _termination_index(ctx, params):
-    """Smallest m >= 0 with some parameter equal to q**(-m), else None."""
+    """Smallest m >= 0 with some parameter equal to q**(-m), else None.
+
+    u q^m can only come near 1 where |u| |q|^m = 1, so each parameter has
+    one candidate, m = round(log|u| / -log|q|).
+    """
+    q = complex(ctx.q)
+    neg_log_q = -math.log(abs(q)) if q != 0.0 else INF
     best = None
     for u in params:
         w = complex(u)
-        limit = ctx.max_terms if best is None else best
-        for m in range(limit + 1):
-            if abs(w - 1.0) <= _TERMINATION_RTOL * max(1.0, abs(w)):
-                best = m
-                break
-            w = w * ctx.q
-            if abs(w) < 0.5:
-                # |u q^m| only shrinks from here, it cannot climb back to 1
-                break
+        r = abs(w)
+        if r < 0.5:
+            # |u q^m| <= |u| < 0.5 for every m, so it never reaches 1
+            continue
+        m = max(0, round(math.log(r) / neg_log_q)) if math.isfinite(r) else 0
+        if m > (ctx.max_terms if best is None else best):
+            continue
+        w = w * q**m
+        if abs(w - 1.0) <= _TERMINATION_RTOL * max(1.0, abs(w)):
+            best = m
     return best
 
 

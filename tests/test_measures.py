@@ -205,7 +205,6 @@ def test_config_validation():
         dict(tail_terms=0),
         dict(tol=0.0),
         dict(max_refinements=0),
-        dict(threads=0),
     ):
         with pytest.raises(DomainError):
             QuadratureConfig(**bad)
@@ -226,12 +225,108 @@ def test_measure_validation():
         Measure(variant="nonsense")
 
 
-def test_thread_count_does_not_change_bits():
-    m = chebyshev_unit_mass()
+def test_scalar_only_closure_integrates_to_closed_value():
+    # float(x) rejects an array, so the engine falls back to one call a node;
+    # the semicircle transform at c > 1 is 2 (c - sqrt(c^2 - 1))
+    c = 1.3
 
     def scalar_only(x):
-        return 1.0 / (1.3 - float(x))
+        return 1.0 / (c - float(x))
 
-    vals = [integrate(m, scalar_only, QuadratureConfig(threads=k))
-            for k in (1, 2, 3)]
-    assert vals[0] == vals[1] == vals[2]
+    val = integrate(chebyshev_unit_mass(), scalar_only)
+    assert abs(val - 2.0 * (c - math.sqrt(c * c - 1.0))) < 1e-12
+
+
+def _discrete_sum_reference(points, f, cfg):
+    """The look-ahead loop that evaluates f twice a point."""
+    partial = 0.0 + 0.0j
+    limit = min(len(points), cfg.tail_terms)
+    for k in range(limit):
+        z, w = points[k]
+        partial += complex(f(z)) * complex(w)
+        if k + 1 < limit:
+            zn, wn = points[k + 1]
+            if wn == 0.0:
+                break
+            nxt = abs(complex(f(zn)) * complex(wn))
+            if k >= 1 and nxt <= cfg.tol * max(abs(partial), 1e-300):
+                break
+    return partial
+
+
+def test_discrete_sum_evaluates_each_point_once():
+    pts = [(float(k), 0.5 ** k * (1.0 + 0.1j) ** k) for k in range(100)]
+    pts[70] = (70.0, 0.0)
+
+    def f(z):
+        return 1.0 / (1.0 + 0.3j * z)
+
+    # a tail cap, the tolerance stop and the zero-mass stop
+    for cfg in (QuadratureConfig(tail_terms=10, tol=1e-300),
+                QuadratureConfig(),
+                QuadratureConfig(tail_terms=100, tol=1e-30)):
+        calls = []
+
+        def counted(z):
+            calls.append(z)
+            return f(z)
+
+        val = integrate(discrete(pts), counted, cfg)
+        assert val == _discrete_sum_reference(pts, f, cfg)
+        assert len(calls) <= min(len(pts), cfg.tail_terms) + 1
+        assert len(set(calls)) == len(calls)
+
+
+def _poisson_rows(alphas):
+    # 1 / (1 - 2 a x + a^2): a pole nearer [-1, 1] needs more doublings
+    return [lambda x, a=a: 1.0 / (1.0 - 2.0 * a * x + a * a) for a in alphas]
+
+
+def _counted(fam, calls):
+    def wrap(k, f):
+        def member(x):
+            calls[k].append(np.size(x))
+            return f(x)
+        return member
+    return [wrap(k, f) for k, f in enumerate(fam)]
+
+
+def test_gram_ladder_matches_per_entry_integrals():
+    m = chebyshev_unit_mass()
+    # |x|^3 converges algebraically, so it keeps moving after it is frozen
+    left = [lambda x: np.abs(x) ** 3] + _poisson_rows((0.5, 0.8, 0.9, 0.95))
+    right = [lambda x, k=k: x ** k for k in range(5)]
+    calls = {k: [] for k in range(5)}
+    G = weighted_gram(m, _counted(left, calls), right, 5)
+    ref = np.array([[integrate(m, lambda x: li(x) * rj(x)) for rj in right]
+                    for li in left])
+    assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(G))
+    # the rows stop at different levels, so the ladder really is shared
+    assert len({len(c) for c in calls.values()}) > 1
+
+
+def test_gram_ladder_evaluates_each_member_once_per_level():
+    m = chebyshev_unit_mass()
+    lcalls = {k: [] for k in range(4)}
+    rcalls = {k: [] for k in range(4)}
+    left = _counted(_poisson_rows((0.2, 0.6, 0.9, 0.95)), lcalls)
+    right = _counted([lambda x, k=k: x ** k for k in range(4)], rcalls)
+    weighted_gram(m, left, right, 4)
+    for calls in (*lcalls.values(), *rcalls.values()):
+        # one call a level, and the levels double the node count
+        assert calls == [64 * 2 ** k for k in range(len(calls))]
+
+
+def test_gram_ladder_fails_loudly_and_names_open_entries():
+    m = unit_circle_cauchy()
+    left = [lambda t: np.ones_like(t), lambda t: np.exp(40.0 / t)]
+    right = [lambda t: np.ones_like(t), lambda t: t]
+    with pytest.raises(ConvergenceError, match=r"\(1, 0\)") as info:
+        weighted_gram(m, left, right, 2,
+                      QuadratureConfig(nodes=8, max_refinements=1))
+    # a kept exception must not pin the node arrays through its traceback
+    tb = info.value.__traceback__
+    while tb is not None:
+        for v in tb.tb_frame.f_locals.values():
+            assert not isinstance(v, np.ndarray) or v.size <= 4
+        tb = tb.tb_next

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from rfrac.errors import DivergenceError, DomainError, PoleError
 from rfrac.qseries import (
+    _TERMINATION_RTOL,
     INF,
+    _termination_index,
     QContext,
     basic_phi,
     gamma_fn,
@@ -92,6 +94,61 @@ def test_multi_q_pochhammer():
     assert multi_q_pochhammer(CTX, [0.0, 0.0], INF) == 1.0
     want = (1 - 0.3) * (1 - 0.15) * (1 - 0.4) * (1 - 0.2)
     assert multi_q_pochhammer(CTX, [0.3, 0.4], 2) == pytest.approx(want, rel=1e-15)
+
+
+def _termination_index_walk(ctx, params):
+    """Reference: walk m = 0, 1, ... for every parameter."""
+    best = None
+    for u in params:
+        w = complex(u)
+        limit = ctx.max_terms if best is None else best
+        for m in range(limit + 1):
+            if abs(w - 1.0) <= _TERMINATION_RTOL * max(1.0, abs(w)):
+                best = m
+                break
+            w = w * ctx.q
+            if abs(w) < 0.5:
+                break
+    return best
+
+
+# relative offsets from q**(-m): inside the tolerance, or clearly outside it
+_INSIDE = st.floats(0.0, 0.5 * _TERMINATION_RTOL)
+_OUTSIDE = st.floats(2.0 * _TERMINATION_RTOL, 0.3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r=st.floats(0.05, 0.995),
+    phase=st.sampled_from([0.0, math.pi]) | st.floats(-math.pi, math.pi),
+    max_terms=st.integers(1, 120),
+    draws=st.lists(
+        st.tuples(st.integers(0, 121), st.one_of(_INSIDE, _OUTSIDE),
+                  st.floats(-math.pi, math.pi)),
+        min_size=1, max_size=4),
+    small=st.floats(0.0, 0.49),
+)
+def test_termination_index_matches_walk(r, phase, max_terms, draws, small):
+    q = r * complex(math.cos(phase), math.sin(phase))
+    ctx = QContext(q=q, max_terms=max_terms)
+    params = [small * q]
+    for m, delta, arg in draws:
+        if m * -math.log(r) > 600.0:
+            continue
+        spin = complex(math.cos(arg), math.sin(arg))
+        params.append(q ** (-m) * (1.0 + delta * spin))
+    want = _termination_index_walk(ctx, params)
+    assert _termination_index(ctx, params) == want
+
+
+def test_termination_index_edge_parameters():
+    ctx = QContext(q=0.5, max_terms=30)
+    assert _termination_index(ctx, [0.0, 0.3]) is None
+    assert _termination_index(ctx, [1.0]) == 0
+    assert _termination_index(ctx, [2.0 ** 30]) == 30
+    assert _termination_index(ctx, [2.0 ** 31]) is None
+    assert _termination_index(ctx, [2.0 ** 7, 2.0 ** 3]) == 3
+    assert _termination_index(QContext(q=0.0), [1.0, 2.0]) == 0
 
 
 def test_hyper_2f1_binomial_case():
