@@ -95,7 +95,6 @@ class MomentFunctional:
         self.spec = spec
         self.lam1 = lam1
         self.norms = []          # R_I: lam1 lam_2 ... lam_{n+1}; R_II: N_n
-        self.kappa = None        # attached by kappa_tails callers if wanted
         self.basis_values = {}   # descriptor -> value
         if kind == R_I:
             self.norms.append(complex(lam1))

@@ -6,29 +6,53 @@ coordinate map between the fraction variable and the plane the measure
 naturally lives in.  Everything is carried as plain closures so the
 numerical layers (recurrence, measures) can consume a model without
 knowing which one it is.
+
+The model modules build those closures from the shared pieces here:
+
+- ``q_product_weight``: the weights const * prod (c x^k; q)_inf /
+  prod (c x^k; q)_inf, k in {-2, -1, 1, 2}, that every q-model measure is;
+- ``theta_interval``: a [-1, 1] measure given by its angle density;
+- ``PrefixProduct``: cached prefix products of a coefficient map;
+- ``fraction_from_minimal``: the fraction value from the closed minimal
+  solution;
+- ``branch_guard``: the check that z is off the curve separating two
+  closed-form branches;
+- ``joukowski_outer_root`` and the coordinate maps.
 """
 
 import cmath
 import math
 from dataclasses import dataclass, field
 
-from ..errors import DomainError, SupportProximityError
+import numpy as np
+
+from ..errors import (BranchBoundaryError, DomainError, PoleError,
+                      SupportProximityError)
+from ..measures import interval
+from ..qseries import q_pochhammer
 
 __all__ = [
     "BiorthFamily",
     "CoordinateMap",
     "ModelSpec",
+    "PrefixProduct",
+    "branch_guard",
     "exp_sinh_inverse",
+    "fraction_from_minimal",
     "joukowski_coordinate",
+    "joukowski_outer_root",
     "joukowski_split",
     "plain_coordinate",
+    "q_product_weight",
     "real_base",
     "require",
     "sinh_coordinate",
+    "theta_interval",
     "unit_circle_pair",
 ]
 
 _UNIT_RTOL = 1e-12
+_BRANCH_RTOL = 1e-12
 
 
 def require(cond, condition):
@@ -127,7 +151,8 @@ def _joukowski_forward(u):
     return 0.5 * (uc + 1.0 / uc)
 
 
-def _joukowski_inverse(z):
+def joukowski_outer_root(z):
+    """joukowski_split(z), refused on the segment [-1, 1] carrying the measure."""
     u = joukowski_split(z)
     if abs(abs(u) - 1.0) <= _UNIT_RTOL:
         raise SupportProximityError(
@@ -137,7 +162,7 @@ def _joukowski_inverse(z):
 
 def joukowski_coordinate():
     return CoordinateMap(name="joukowski", forward=_joukowski_forward,
-                         inverse=_joukowski_inverse)
+                         inverse=joukowski_outer_root)
 
 
 def exp_sinh_inverse(z):
@@ -179,3 +204,78 @@ def unit_circle_pair(x):
         return e, e.conjugate()
     u = joukowski_split(xc)
     return u, 1.0 / u
+
+
+def branch_guard(gap, scale, boundary, z):
+    """Refuse z on the curve that separates two closed-form branches.
+
+    ``gap`` is z's signed distance from that curve, named ``boundary`` in
+    the message; |gap| <= 1e-12 max(1, scale) counts as on it.
+    """
+    if abs(gap) <= _BRANCH_RTOL * max(1.0, scale):
+        raise BranchBoundaryError(
+            f"{boundary} separates the two closed-form branches, got z = {z}")
+
+
+class PrefixProduct:
+    """Cached prefix products f(1) f(2) ... f(n), empty product at n = 0."""
+
+    def __init__(self, f):
+        self.f = f
+        self.vals = [1.0 + 0.0j]
+
+    def __call__(self, n):
+        while len(self.vals) <= n:
+            self.vals.append(self.vals[-1] * self.f(len(self.vals)))
+        return self.vals[n]
+
+
+def fraction_from_minimal(minimal, c):
+    """The fraction value z -> x_0 / ((z - c(1)) x_0 - x_1).
+
+    x_n = minimal(n, z) is the closed minimal solution; a vanishing
+    denominator raises PoleError.
+    """
+    def cf_value(z):
+        x0 = minimal(0, z)
+        x1 = minimal(1, z)
+        den = (z - c(1)) * x0 - x1
+        if den == 0.0:
+            raise PoleError("the fraction has a pole at this point")
+        return x0 / den
+
+    return cf_value
+
+
+def _power(x, k):
+    return x ** k if k > 0 else (1.0 / x) ** -k
+
+
+def q_product_weight(ctx, const, num, den):
+    """x -> const * prod_num (c x^k; q)_inf / prod_den (c x^k; q)_inf.
+
+    ``num`` and ``den`` hold (c, k) pairs with k in {-2, -1, 1, 2}; x is a
+    scalar or a node array.  Each factor is its own ``q_pochhammer`` call,
+    so it truncates at the depth its own |c x^k| needs, and its argument
+    array lives only for that call.
+    """
+    def weight(x):
+        top = const
+        for c, k in num:
+            top = top * q_pochhammer(ctx, c * _power(x, k))
+        bottom = 1.0
+        for c, k in den:
+            bottom = bottom * q_pochhammer(ctx, c * _power(x, k))
+        return top / bottom
+
+    return weight
+
+
+def theta_interval(theta_density, support_meta):
+    """The [-1, 1] measure whose angle density is w(cos t) sin t."""
+    def weight(x):
+        xv = np.asarray(x, dtype=float)
+        return theta_density(np.arccos(xv)) / np.sqrt(1.0 - xv * xv)
+
+    return interval(-1.0, 1.0, weight, theta_density=theta_density,
+                    support_meta=support_meta)

@@ -10,15 +10,13 @@ import math
 
 import numpy as np
 
-from ..errors import BranchBoundaryError
 from ..measures import vertical_line
 from ..qseries import gamma_fn, hyper_2f1, shifted_factorial
 from ..recurrence import R_II, RecurrenceSpec
-from .base import BiorthFamily, ModelSpec, plain_coordinate, require
+from .base import (BiorthFamily, ModelSpec, branch_guard, plain_coordinate,
+                   require)
 
 NAME = "Cauchy2F1_32"
-
-_BRANCH_RTOL = 1e-12
 
 
 def _checked(params):
@@ -30,12 +28,6 @@ def _checked(params):
     require(b != 1.0, "b != 1")
     require((a - b).real > 0.0, "Re(a - b) > 0")
     return a, b
-
-
-def _boundary_guard(z):
-    if abs(z.real - 0.5) <= _BRANCH_RTOL:
-        raise BranchBoundaryError(
-            f"Re z = 1/2 separates the two closed-form branches, got z = {z}")
 
 
 def _solution_left(a, b, n, z):
@@ -91,14 +83,14 @@ def build(params):
 
     def minimal(n, z):
         zc = complex(z)
-        _boundary_guard(zc)
+        branch_guard(zc.real - 0.5, 0.5, "Re z = 1/2", zc)
         if zc.real < 0.5:
             return _solution_left(a, b, n, zc)
         return _solution_right(a, b, n, zc)
 
     def cf_value(z):
         zc = complex(z)
-        _boundary_guard(zc)
+        branch_guard(zc.real - 0.5, 0.5, "Re z = 1/2", zc)
         if zc.real < 0.5:
             return (-(1.0 + a - b) * (1.0 - zc) ** (b - 1.0) / a
                     * hyper_2f1(a, b, 1.0 + a, zc).value)

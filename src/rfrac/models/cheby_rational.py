@@ -20,9 +20,10 @@ import numpy as np
 from ..measures import interval, normalization
 from ..qseries import QContext, basic_phi, multi_q_pochhammer, q_pochhammer
 from ..recurrence import R_II, RecurrenceSpec
-from .base import (BiorthFamily, ModelSpec, joukowski_coordinate, require,
-                   real_base, unit_circle_pair)
-from .rahman import _Prod, _outer_root, recurrence_maps
+from .base import (BiorthFamily, ModelSpec, PrefixProduct,
+                   fraction_from_minimal, joukowski_coordinate,
+                   joukowski_outer_root, require, real_base, unit_circle_pair)
+from .rahman import recurrence_maps
 
 NAME = "ChebyRational51"
 
@@ -48,28 +49,25 @@ def build(params):
     q, al, de = _checked(params)
     ctx = QContext(q)
     u, c, lam, amap, bmap = recurrence_maps(q, al, q, de)
-    uprod = _Prod(u)
+    uprod = PrefixProduct(u)
     spec = RecurrenceSpec(kind=R_II, c=c, lam=lam, a=amap, b=bmap)
 
     def minimal(n, z):
         require(al != 0.0 and de != 0.0,
                 "alpha != 0 and delta != 0 for the closed solution")
-        uu = _outer_root(z)
+        uu = joukowski_outer_root(z)
         num = q_pochhammer(ctx, al * de * q ** (2 * n + 1))
         den = multi_q_pochhammer(ctx, (
             q ** (n + 1), al * q ** (n + 1) * uu, al * de * q ** n,
             de * q ** (n + 1) * uu))
         return (2.0 * uu) ** -n * num / (den * uprod(n))
 
-    def cf_value(z):
-        # normalized to the moment functional's scale, like every model
-        x0 = minimal(0, z)
-        x1 = minimal(1, z)
-        return x0 / ((z - c(1)) * x0 - x1)
+    # normalized to the moment functional's scale, like every model
+    cf_value = fraction_from_minimal(minimal, c)
 
     def transform_value(z):
         """Closed transform of the weight, scaled by transform_scale."""
-        uu = _outer_root(z)
+        uu = joukowski_outer_root(z)
         return (2.0 / uu * (1.0 - al * de * q)
                 / ((1.0 - al / uu) * (1.0 - q) * (1.0 - de / uu)))
 

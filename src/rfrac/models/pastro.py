@@ -7,20 +7,17 @@ polynomial family pairs against a second family with the two weight
 parameters swapped, the pairing living on the unit circle.
 """
 
-import cmath
 import math
 
 import numpy as np
 
-from ..errors import BranchBoundaryError
 from ..measures import circle_contour, stieltjes
 from ..qseries import QContext, basic_phi, multi_q_pochhammer, q_pochhammer
 from ..recurrence import R_I, RecurrenceSpec
-from .base import BiorthFamily, ModelSpec, plain_coordinate, real_base, require
+from .base import (BiorthFamily, ModelSpec, branch_guard, plain_coordinate,
+                   q_product_weight, real_base, require)
 
 NAME = "Pastro21"
-
-_BRANCH_RTOL = 1e-12
 
 
 def _checked(params):
@@ -34,10 +31,10 @@ def _checked(params):
     return q, a, b
 
 
-def _boundary_guard(z, rq):
-    if abs(abs(z) - rq) <= _BRANCH_RTOL * max(1.0, rq):
-        raise BranchBoundaryError(
-            f"|z| = sqrt(q) separates the two closed-form branches, got z = {z}")
+def _circle_weight(ctx, rq, a, b, const):
+    """t -> const (rq t, rq/t; q)_inf / (a rq t, b rq/t; q)_inf, rq = sqrt(q)."""
+    return q_product_weight(ctx, const, num=((rq, 1), (rq, -1)),
+                            den=((a * rq, 1), (b * rq, -1)))
 
 
 def _solution_inner(ctx, a, b, n, z):
@@ -94,14 +91,14 @@ def build(params):
 
     def minimal(n, z):
         zc = complex(z)
-        _boundary_guard(zc, rq)
+        branch_guard(abs(zc) - rq, rq, "|z| = sqrt(q)", zc)
         if abs(zc) < rq:
             return _solution_inner(ctx, a, b, n, zc)
         return _solution_outer(ctx, a, b, n, zc)
 
     def cf_value(z):
         zc = complex(z)
-        _boundary_guard(zc, rq)
+        branch_guard(abs(zc) - rq, rq, "|z| = sqrt(q)", zc)
         if abs(zc) < rq:
             s = basic_phi(ctx, (1.0 / a, q), (q * b,), a * zc * rq)
             return (1.0 - a * q) / ((1.0 - b) * rq) * s.value
@@ -111,12 +108,11 @@ def build(params):
     # density of the spectral measure on |t| = sqrt(q), normalized to mass 1
     dconst = (q_pochhammer(ctx, q) * q_pochhammer(ctx, a * b * q)
               / (q_pochhammer(ctx, a * q * q) * q_pochhammer(ctx, b)))
+    spectral_weight = _circle_weight(
+        ctx, rq, a, b, (1j / (2.0 * math.pi * rq)) * dconst)
 
     def density(theta):
-        t = rq * np.exp(1j * np.asarray(theta, dtype=float))
-        num = q_pochhammer(ctx, rq * t) * q_pochhammer(ctx, rq / t)
-        den = q_pochhammer(ctx, a * rq * t) * q_pochhammer(ctx, b * rq / t)
-        return (1j / (2.0 * math.pi * rq)) * dconst * num / den
+        return spectral_weight(rq * np.exp(1j * np.asarray(theta, dtype=float)))
 
     measure = circle_contour(rq, density,
                              support_meta=f"|t| = sqrt({q})")
@@ -124,11 +120,7 @@ def build(params):
     # weight of the swapped-parameter pairing on the unit circle, in theta
     fconst = (q_pochhammer(ctx, q) * q_pochhammer(ctx, q * a * b)
               / (q_pochhammer(ctx, q * a) * q_pochhammer(ctx, q * b)))
-
-    def pairing_weight(t):
-        num = q_pochhammer(ctx, rq * t) * q_pochhammer(ctx, rq / t)
-        den = q_pochhammer(ctx, a * rq * t) * q_pochhammer(ctx, b * rq / t)
-        return fconst / (2.0 * math.pi) * num / den
+    pairing_weight = _circle_weight(ctx, rq, a, b, fconst / (2.0 * math.pi))
 
     def pairing_density(theta):
         t = np.exp(1j * np.asarray(theta, dtype=float))
@@ -184,15 +176,15 @@ def transform_241(params, n, k, z, cfg=None):
     ctx = QContext(q)
     rq = math.sqrt(q)
     zc = complex(z)
-    _boundary_guard(zc, rq)
+    branch_guard(abs(zc) - rq, rq, "|z| = sqrt(q)", zc)
+    weight = _circle_weight(ctx, rq, a, b, 1j / (2.0 * math.pi))
+    # the polynomial is a scalar basic series, summed node by node
+    poly = np.vectorize(lambda t: _poly_first(ctx, a, b, n, t),
+                        otypes=[complex])
 
     def kernel_density(theta):
-        t = rq * cmath.exp(1j * float(theta))
-        ratio = (q_pochhammer(ctx, rq * t) * q_pochhammer(ctx, rq / t)
-                 / (q_pochhammer(ctx, a * rq * t)
-                    * q_pochhammer(ctx, b * rq / t)))
-        return (1j / (2.0 * math.pi)) * t ** (k - n) \
-            * _poly_first(ctx, a, b, n, t) * ratio
+        t = rq * np.exp(1j * np.asarray(theta, dtype=float))
+        return t ** (k - n) * poly(t) * weight(t)
 
     m = circle_contour(rq, kernel_density)
     lhs = stieltjes(m, zc, cfg)

@@ -17,16 +17,15 @@ import math
 
 import numpy as np
 
-from ..errors import PoleError, SupportProximityError
-from ..measures import interval, normalization
+from ..measures import normalization
 from ..qseries import QContext, basic_phi, multi_q_pochhammer, q_pochhammer, w87
 from ..recurrence import R_II, RecurrenceSpec
-from .base import (BiorthFamily, ModelSpec, joukowski_coordinate,
-                   joukowski_split, require, real_base, unit_circle_pair)
+from .base import (BiorthFamily, ModelSpec, PrefixProduct,
+                   fraction_from_minimal, joukowski_coordinate,
+                   joukowski_outer_root, q_product_weight, require, real_base,
+                   theta_interval, unit_circle_pair)
 
 NAME = "Rahman52"
-
-_SUPPORT_RTOL = 1e-12
 
 
 def checked_triple(params):
@@ -96,28 +95,6 @@ def recurrence_maps(q, al, be, de):
     return u, c, lam, amap, bmap
 
 
-class _Prod:
-    """Cached prefix products of a coefficient map, empty product at 0."""
-
-    def __init__(self, f):
-        self.f = f
-        self.vals = [1.0 + 0.0j]
-
-    def __call__(self, n):
-        while len(self.vals) <= n:
-            self.vals.append(self.vals[-1] * self.f(len(self.vals)))
-        return self.vals[n]
-
-
-def _outer_root(z):
-    u = joukowski_split(complex(z))
-    if abs(abs(u) - 1.0) <= _SUPPORT_RTOL:
-        raise SupportProximityError(
-            f"z = {complex(z)} lies on the segment [-1, 1] carrying the "
-            "measure")
-    return u
-
-
 def solution_ladder(ctx, al, be, de, uprod, n, z):
     """Closed form of the subdominant solution at degree index n.
 
@@ -126,7 +103,7 @@ def solution_ladder(ctx, al, be, de, uprod, n, z):
     """
     q = ctx.q
     p = al * be * be * de
-    u = _outer_root(z)
+    u = joukowski_outer_root(z)
     num = multi_q_pochhammer(ctx, (
         p * q ** (2 * n - 1), al * q ** (n + 1) / u,
         be * q ** (n + 1) / (u * u), be * q ** (n + 1),
@@ -140,60 +117,32 @@ def solution_ladder(ctx, al, be, de, uprod, n, z):
     return (2.0 * u) ** -n * num / den * w.value / uprod(n)
 
 
-def _spectral_theta(ctx, al, be, de):
-    """Density on the angle variable for the model's own measure.
+def _angle_density(ctx, al, be, de, top, const):
+    """theta -> const * w(e^{i theta}) for the weights of this model.
 
-    The value already includes the full normalizing constant; its integral
-    over [0, pi] is the total mass of the measure.
+    ``top`` is the coefficient of the e^{+-i theta} pair in the numerator:
+    alpha beta for the spectral measure, q alpha beta for the pairing and
+    the beta integral, alpha gamma for its extension.
     """
+    w = q_product_weight(
+        ctx, const,
+        num=((1.0, 2), (1.0, -2), (top, 1), (top, -1),
+             (be * de, 1), (be * de, -1)),
+        den=((al, 1), (al, -1), (be, 2), (be, -2), (de, 1), (de, -1)))
+
+    def theta_density(theta):
+        return w(np.exp(1j * np.asarray(theta, dtype=float)))
+
+    return theta_density
+
+
+def _spectral_theta(ctx, al, be, de):
+    """Angle density of the model's own measure; its integral over [0, pi]
+    is the total mass."""
     p = al * be * be * de
     fconst = (multi_q_pochhammer(ctx, (al * de, be * be, ctx.q))
               / (multi_q_pochhammer(ctx, (be, be, p)) * 2.0 * math.pi))
-
-    def theta_density(theta):
-        e = np.exp(1j * np.asarray(theta, dtype=float))
-        ei = 1.0 / e
-        num = (q_pochhammer(ctx, e * e) * q_pochhammer(ctx, ei * ei)
-               * q_pochhammer(ctx, al * be * e)
-               * q_pochhammer(ctx, al * be * ei)
-               * q_pochhammer(ctx, be * de * e)
-               * q_pochhammer(ctx, be * de * ei))
-        den = (q_pochhammer(ctx, al * e) * q_pochhammer(ctx, al * ei)
-               * q_pochhammer(ctx, be * e * e)
-               * q_pochhammer(ctx, be * ei * ei)
-               * q_pochhammer(ctx, de * e) * q_pochhammer(ctx, de * ei))
-        return fconst * num / den
-
-    return theta_density
-
-
-def _pairing_theta(ctx, al, be, de):
-    """Angle density of the pairing weight (no normalizing constant)."""
-
-    def theta_density(theta):
-        e = np.exp(1j * np.asarray(theta, dtype=float))
-        ei = 1.0 / e
-        num = (q_pochhammer(ctx, e * e) * q_pochhammer(ctx, ei * ei)
-               * q_pochhammer(ctx, ctx.q * al * be * e)
-               * q_pochhammer(ctx, ctx.q * al * be * ei)
-               * q_pochhammer(ctx, be * de * e)
-               * q_pochhammer(ctx, be * de * ei))
-        den = (q_pochhammer(ctx, al * e) * q_pochhammer(ctx, al * ei)
-               * q_pochhammer(ctx, be * e * e)
-               * q_pochhammer(ctx, be * ei * ei)
-               * q_pochhammer(ctx, de * e) * q_pochhammer(ctx, de * ei))
-        return num / (2.0 * math.pi * den)
-
-    return theta_density
-
-
-def _interval_from_theta(theta_density, meta):
-    def weight(x):
-        xv = np.asarray(x, dtype=float)
-        return theta_density(np.arccos(xv)) / np.sqrt(1.0 - xv * xv)
-
-    return interval(-1.0, 1.0, weight, theta_density=theta_density,
-                    support_meta=meta)
+    return _angle_density(ctx, al, be, de, al * be, fconst)
 
 
 def build(params):
@@ -201,7 +150,7 @@ def build(params):
     p = al * be * be * de
     ctx = QContext(q)
     u, c, lam, amap, bmap = recurrence_maps(q, al, be, de)
-    uprod = _Prod(u)
+    uprod = PrefixProduct(u)
 
     spec = RecurrenceSpec(kind=R_II, c=c, lam=lam, a=amap, b=bmap)
 
@@ -210,20 +159,13 @@ def build(params):
                 "alpha != 0 and delta != 0 for the closed solution")
         return solution_ladder(ctx, al, be, de, uprod, n, z)
 
-    def cf_value(z):
-        # the fraction normalizes the measure to the moment functional's
-        # scale, so its value is the transform times kappa_1 / mass; the
-        # ladder combination below carries that scale automatically
-        x0 = minimal(0, z)
-        x1 = minimal(1, z)
-        den = (z - c(1)) * x0 - x1
-        if den == 0.0:
-            raise PoleError("the fraction has a pole at this point")
-        return x0 / den
+    # the fraction is the transform times kappa_1 / mass; the ladder
+    # combination carries that scale itself
+    cf_value = fraction_from_minimal(minimal, c)
 
     def transform_value(z):
         """Closed evaluation of the transform integral of the weight."""
-        uu = _outer_root(z)
+        uu = joukowski_outer_root(z)
         pref = (2.0 / uu * (1.0 - q / (uu * uu)) * (1.0 - p / q)
                 / ((1.0 - al / uu) * (1.0 - be / (uu * uu))
                    * (1.0 - be) * (1.0 - de / uu)))
@@ -231,11 +173,11 @@ def build(params):
                 q / (be * uu * uu), q / (de * uu), p / q)
         return pref * w.value
 
-    measure = _interval_from_theta(
+    measure = theta_interval(
         _spectral_theta(ctx, al, be, de),
         "segment [-1, 1], doubled-pole trigonometric weight")
-    pairing = _interval_from_theta(
-        _pairing_theta(ctx, al, be, de),
+    pairing = theta_interval(
+        _angle_density(ctx, al, be, de, q * al * be, 1.0 / (2.0 * math.pi)),
         "segment [-1, 1], pairing weight")
 
     extras = {
@@ -349,36 +291,21 @@ def herglotz_511(params, cfg=None):
     require(max(abs(al), abs(be), abs(de), abs(p / q)) < 1.0,
             "max(|alpha|, |beta|, |delta|, |alpha beta^2 delta / q|) < 1")
     ctx = QContext(q)
-    m = _interval_from_theta(_spectral_theta(ctx, al, be, de),
-                             "segment [-1, 1]")
+    m = theta_interval(_spectral_theta(ctx, al, be, de), "segment [-1, 1]")
     lhs = normalization(m, cfg)
     rhs = ((1.0 - p / q) / (1.0 - be)
            * basic_phi(ctx, (q, q / be), (q * be,), p / q).value)
     return lhs, rhs
 
 
-def _beta_integrand(ctx, al, be, de, top):
-    """Angle density shared by the beta-integral evaluations; ``top`` is
-    the coefficient of the e^{+-i theta} pair in the numerator."""
-    q = ctx.q
+def _beta_measure(ctx, al, be, de, top):
+    """[-1, 1] measure of the beta-integral evaluations; ``top`` as in
+    _angle_density."""
     p = al * be * be * de
-    fconst = (multi_q_pochhammer(ctx, (al * de, be * be, q))
-              / (multi_q_pochhammer(ctx, (be, q * be, p)) * 2.0 * math.pi))
-
-    def theta_density(theta):
-        e = np.exp(1j * np.asarray(theta, dtype=float))
-        ei = 1.0 / e
-        num = (q_pochhammer(ctx, e * e) * q_pochhammer(ctx, ei * ei)
-               * q_pochhammer(ctx, top * e) * q_pochhammer(ctx, top * ei))
-        den = (q_pochhammer(ctx, al * e) * q_pochhammer(ctx, al * ei)
-               * q_pochhammer(ctx, be * e * e)
-               * q_pochhammer(ctx, be * ei * ei)
-               * q_pochhammer(ctx, de * e) * q_pochhammer(ctx, de * ei))
-        extra = (q_pochhammer(ctx, be * de * e)
-                 * q_pochhammer(ctx, be * de * ei))
-        return fconst * num * extra / den
-
-    return theta_density
+    fconst = (multi_q_pochhammer(ctx, (al * de, be * be, ctx.q))
+              / (multi_q_pochhammer(ctx, (be, ctx.q * be, p)) * 2.0 * math.pi))
+    return theta_interval(_angle_density(ctx, al, be, de, top, fconst),
+                          "segment [-1, 1]")
 
 
 def qbeta_519(params, cfg=None):
@@ -388,8 +315,7 @@ def qbeta_519(params, cfg=None):
     require(max(abs(al), abs(be), abs(de)) < 1.0,
             "max(|alpha|, |beta|, |delta|) < 1")
     ctx = QContext(q)
-    m = _interval_from_theta(_beta_integrand(ctx, al, be, de, q * al * be),
-                             "segment [-1, 1]")
+    m = _beta_measure(ctx, al, be, de, q * al * be)
     lhs = normalization(m, cfg)
     rhs = 1.0 / (1.0 - al * al * be)
     return lhs, rhs
@@ -403,8 +329,7 @@ def qbeta_gamma(params, cfg=None):
     require(max(abs(al), abs(be), abs(de), abs(ga)) < 1.0,
             "max(|alpha|, |beta|, |gamma|, |delta|) < 1")
     ctx = QContext(q)
-    m = _interval_from_theta(_beta_integrand(ctx, al, be, de, al * ga),
-                             "segment [-1, 1]")
+    m = _beta_measure(ctx, al, be, de, al * ga)
     lhs = normalization(m, cfg)
     rhs = (multi_q_pochhammer(ctx, (ga, al * al * ga))
            / multi_q_pochhammer(ctx, (q * be, al * al * be))

@@ -9,15 +9,14 @@ family is exposed behind a flag, with no printed norms.
 """
 
 import cmath
-import math
 
-from ..errors import CollisionError, PoleError
+from ..errors import CollisionError
 from ..measures import discrete
 from ..qseries import QContext, basic_phi, multi_q_pochhammer, q_pochhammer, w87
 from ..recurrence import R_II, RecurrenceSpec
-from .base import (BiorthFamily, CoordinateMap, ModelSpec, exp_sinh_inverse,
-                   joukowski_split, require)
-from .base import real_base
+from .base import (BiorthFamily, ModelSpec, PrefixProduct, exp_sinh_inverse,
+                   fraction_from_minimal, joukowski_split, real_base, require,
+                   sinh_coordinate)
 
 NAME = "SinhLattice42"
 
@@ -99,17 +98,6 @@ def _coeff_maps(q, t1, t2, t3, t4):
     return u, c, lam, amap, bmap
 
 
-class _UProd:
-    def __init__(self, u):
-        self.u = u
-        self.vals = [1.0 + 0.0j]
-
-    def __call__(self, n):
-        while len(self.vals) <= n:
-            self.vals.append(self.vals[-1] * self.u(len(self.vals)))
-        return self.vals[n]
-
-
 def rational_grid(ctx, t1, t2, t3, t4, n, z):
     """Terminating series member vanishing against the grid weights."""
     q = ctx.q
@@ -180,7 +168,7 @@ def build(params):
     rst = cmath.sqrt(t3 * t4)
     rho = t3 / rst
     u, c, lam, amap, bmap = _coeff_maps(q, t1, t2, t3, t4)
-    uprod = _UProd(u)
+    uprod = PrefixProduct(u)
 
     spec = RecurrenceSpec(kind=R_II, c=c, lam=lam, a=amap, b=bmap)
 
@@ -189,13 +177,7 @@ def build(params):
     def minimal(n, z):
         return _solution(ctx, t1, t2, t3, t4, uprod, uv, n, z)
 
-    def cf_value(z):
-        x0 = minimal(0, z)
-        x1 = minimal(1, z)
-        den = (z - c(1)) * x0 - x1
-        if den == 0.0:
-            raise PoleError("the fraction has a pole at this point")
-        return x0 / den
+    cf_value = fraction_from_minimal(minimal, c)
 
     # grid points and masses of the Mittag-Leffler expansion
     wconst = (u(1) * rst / q
@@ -240,11 +222,6 @@ def build(params):
                 * multi_q_pochhammer(ctx, (-t1 * t2 / q ** 2, tp / q ** 3), n)
                 / (q_pochhammer(ctx, -t1 * t2 / q ** 2, 2 * n) * uprod(n)))
 
-    coordinate = CoordinateMap(name="sinh",
-                               forward=lambda xi: cmath.sinh(xi),
-                               inverse=lambda z: cmath.log(
-                                   exp_sinh_inverse(complex(z))))
-
     extras = {
         "ctx": ctx,
         "u": u,
@@ -261,7 +238,7 @@ def build(params):
     return ModelSpec(name=NAME,
                      params={"q": q, "t1": t1, "t2": t2, "t3": t3, "t4": t4,
                              "cosh": cosh_grid},
-                     spec=spec, measure=measure, coordinate=coordinate,
+                     spec=spec, measure=measure, coordinate=sinh_coordinate(),
                      minimal=minimal, cf_value=cf_value, extras=extras)
 
 

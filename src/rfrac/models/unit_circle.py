@@ -11,15 +11,14 @@ import math
 
 import numpy as np
 
-from ..errors import BranchBoundaryError
-from ..measures import circle_contour, interval
+from ..measures import circle_contour
 from ..qseries import QContext, basic_phi, multi_q_pochhammer, q_pochhammer, w87
 from ..recurrence import R_II, RecurrenceSpec
-from .base import BiorthFamily, ModelSpec, plain_coordinate, real_base, require
+from .base import (BiorthFamily, ModelSpec, PrefixProduct, branch_guard,
+                   plain_coordinate, q_product_weight, real_base, require,
+                   theta_interval)
 
 NAME = "UnitCircle41"
-
-_BRANCH_RTOL = 1e-12
 
 
 def _checked(params):
@@ -36,12 +35,6 @@ def _checked(params):
     require(abs(t1) < rq, "|t1| < sqrt(q)")
     require(abs(t2) < rq, "|t2| < sqrt(q)")
     return q, a, b, t1, t2
-
-
-def _boundary_guard(z, rq):
-    if abs(abs(z) - rq) <= _BRANCH_RTOL * max(1.0, rq):
-        raise BranchBoundaryError(
-            f"|z| = sqrt(q) separates the two closed-form branches, got z = {z}")
 
 
 def _coeff_maps(q, a, b, t1, t2):
@@ -90,19 +83,6 @@ def _coeff_maps(q, a, b, t1, t2):
         return q ** (1.5 - m) / (a * t2)
 
     return u, v, c, lam, amap, bmap
-
-
-class _UProd:
-    """Cached partial products of the leading-coefficient factors."""
-
-    def __init__(self, u):
-        self.u = u
-        self.vals = [1.0 + 0.0j]
-
-    def __call__(self, n):
-        while len(self.vals) <= n:
-            self.vals.append(self.vals[-1] * self.u(len(self.vals)))
-        return self.vals[n]
 
 
 def _solution_outer(ctx, a, b, t1, t2, uprod, n, z):
@@ -159,20 +139,20 @@ def build(params):
     rq = math.sqrt(q)
     p = a * b * t1 * t2
     u, v, c, lam, amap, bmap = _coeff_maps(q, a, b, t1, t2)
-    uprod = _UProd(u)
+    uprod = PrefixProduct(u)
 
     spec = RecurrenceSpec(kind=R_II, c=c, lam=lam, a=amap, b=bmap)
 
     def minimal(n, z):
         zc = complex(z)
-        _boundary_guard(zc, rq)
+        branch_guard(abs(zc) - rq, rq, "|z| = sqrt(q)", zc)
         if abs(zc) < rq:
             return _solution_inner(ctx, a, b, t1, t2, uprod, n, zc)
         return _solution_outer(ctx, a, b, t1, t2, uprod, n, zc)
 
     def cf_value(z):
         zc = complex(z)
-        _boundary_guard(zc, rq)
+        branch_guard(abs(zc) - rq, rq, "|z| = sqrt(q)", zc)
         if abs(zc) < rq:
             pref = (2.0 * u(1) * q ** -0.25 * (1.0 - p / q)
                     * (1.0 - rq * zc)
@@ -194,14 +174,10 @@ def build(params):
                                       t1 * t2 / q, q)) \
         / multi_q_pochhammer(ctx, (a * q, b * q, t1, t2, p))
 
-    def base_weight(t):
-        num = (q_pochhammer(ctx, rq * t) * q_pochhammer(ctx, rq / t)
-               * q_pochhammer(ctx, a * t2 * rq * t)
-               * q_pochhammer(ctx, b * t1 * rq / t))
-        den = (q_pochhammer(ctx, a * rq * t) * q_pochhammer(ctx, b * rq / t)
-               * q_pochhammer(ctx, t2 * t / rq)
-               * q_pochhammer(ctx, t1 / (rq * t)))
-        return fconst * num / den
+    base_weight = q_product_weight(
+        ctx, fconst,
+        num=((rq, 1), (rq, -1), (a * t2 * rq, 1), (b * t1 * rq, -1)),
+        den=((a * rq, 1), (b * rq, -1), (t2 / rq, 1), (t1 / rq, -1)))
 
     dconst = 1j * u(1) / (math.pi * q ** 0.25 * (1.0 - t1 / q) * (1.0 - b))
 
@@ -289,24 +265,14 @@ def trig_weight_density(q, p1, p2, p3, p4):
     pairs = [pr[i] * pr[j] for i in range(4) for j in range(i + 1, 4)]
     const = (multi_q_pochhammer(ctx, tuple(pairs) + (qv,))
              / (2.0 * math.pi * q_pochhammer(ctx, p1 * p2 * p3 * p4)))
+    w = q_product_weight(ctx, const, num=((1.0, 2), (1.0, -2)),
+                         den=[(val, k) for val in pr for k in (1, -1)])
 
     def theta_density(theta):
-        e = np.exp(1j * np.asarray(theta, dtype=float))
-        num = q_pochhammer(ctx, e * e) * q_pochhammer(ctx, 1.0 / (e * e))
-        den = np.ones_like(e)
-        for val in pr:
-            den = den * q_pochhammer(ctx, val * e) * q_pochhammer(ctx, val / e)
-        return const * num / den
+        return w(np.exp(1j * np.asarray(theta, dtype=float)))
 
     return theta_density
 
 
 def trig_weight_measure(q, p1, p2, p3, p4):
-    td = trig_weight_density(q, p1, p2, p3, p4)
-
-    def weight(x):
-        xa = np.asarray(x, dtype=float)
-        return td(np.arccos(xa)) / np.sqrt(1.0 - xa * xa)
-
-    return interval(-1.0, 1.0, weight, theta_density=td,
-                    support_meta="[-1, 1]")
+    return theta_interval(trig_weight_density(q, p1, p2, p3, p4), "[-1, 1]")

@@ -42,9 +42,7 @@ class RecurrenceSpec:
 
     Maps are callables defined for n >= 1. lambda_1 may vanish (some models
     start that way); lambda_n for n >= 2 must not, and is checked at query
-    time. ``lambda1_limit`` optionally supplies the finite limit value of
-    the product lambda_1 (z - a_1) [(z - b_1)] X_{-1} for closed-form
-    minimal solutions when lambda_1 = 0 makes X_{-1} itself meaningless.
+    time.
     """
 
     kind: str
@@ -52,7 +50,6 @@ class RecurrenceSpec:
     lam: object
     a: object
     b: object = None
-    lambda1_limit: object = None
 
     def __post_init__(self):
         if self.kind not in (R_I, R_II):
@@ -277,8 +274,6 @@ def pincherle_residual(spec, z, cf_value, est):
 
     ratio_at_0 is already built on the identity
     lambda_1 (z - a_1) [(z - b_1)] X_{-1} = (z - c_1) X_0 - X_1, so the
-    lambda_1 = 0 case needs no special handling here; models that define the
-    fraction through a limiting product supply spec.lambda1_limit for their
-    closed forms instead.
+    lambda_1 = 0 case needs no special handling here.
     """
     return abs(complex(cf_value) - complex(est.ratio_at_0))

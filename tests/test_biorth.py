@@ -120,6 +120,35 @@ def test_functional_values_match_quadrature(name):
             assert abs(quad - want) < 1e-8, (name, n, k)
 
 
+# points on both sides of the branch circle |z| = sqrt(q) for the circle
+# models, and off the segment [-1, 1] for Rahman52
+TRANSFORM_POINTS = {
+    "Pastro21": (0.2 + 0.1j, -0.25 + 0.2j, 1.5 + 0.5j, -2.0 + 1.0j),
+    "UnitCircle41": (0.2 + 0.1j, 0.3 - 0.2j, 1.4 - 0.6j, 2.0 + 0.4j),
+    "Rahman52": (2.5 + 0.3j, -1.7 + 0.8j, 0.3 + 1.2j),
+}
+
+
+@pytest.mark.parametrize("name", ["Pastro21", "UnitCircle41"])
+def test_circle_measure_transform_is_the_fraction(name):
+    # pins the measure's absolute constant, which the functional test above
+    # divides out through the mass
+    model = instantiate(name, PARAMS[name])
+    for z in TRANSFORM_POINTS[name]:
+        cf = model.cf_value(z)
+        assert abs(stieltjes(model.measure, z) - cf) < 1e-10 * abs(cf), z
+
+
+def test_rahman_measure_and_pairing_constants():
+    model = instantiate("Rahman52", PARAMS["Rahman52"])
+    for z in TRANSFORM_POINTS["Rahman52"]:
+        want = model.extras["transform"](z)
+        assert abs(stieltjes(model.measure, z) - want) < 1e-10 * abs(want), z
+    want = model.extras["pairing_mass"]
+    mass = normalization(biorth(model).pairing)
+    assert abs(mass - want) < 1e-10 * abs(want)
+
+
 def test_elementary_mass_closed_form():
     lhs, rhs = elementary_mass({"q": 0.5, "alpha": 0.5, "delta": 0.25})
     assert abs(rhs - 1.0 / (1.0 - 0.125)) < 1e-15

@@ -3,8 +3,10 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
+import rfrac.models.base as base
 from rfrac.errors import BranchBoundaryError, DomainError, OutOfSpanError
 from rfrac.models import (
     MODEL_NAMES,
@@ -12,8 +14,9 @@ from rfrac.models import (
     instantiate,
     minimal_closed_form,
 )
-from rfrac.qseries import QContext, multi_q_pochhammer
-from rfrac.recurrence import R_II, minimal_solution_backward, pincherle_residual
+from rfrac.qseries import QContext, multi_q_pochhammer, q_pochhammer
+from rfrac.recurrence import (R_II, forward, minimal_solution_backward,
+                              pincherle_residual)
 
 # one interior parameter set per model, away from every degenerate corner
 PARAMS = {
@@ -212,3 +215,55 @@ def test_coordinate_maps_round_trip(name):
     u = m.coordinate.inverse(z)
     back = m.coordinate.forward(u)
     assert abs(back - z) < 1e-12 * max(1.0, abs(z))
+
+
+# the closed numerator polynomial each model publishes, by extras key
+POLY_KEYS = {
+    "Pastro21": "poly_first",
+    "ChebyshevR2_31": "poly",
+    "Cauchy2F1_32": "poly",
+    "UnitCircle41": "poly",
+    "SinhLattice42": "poly",
+}
+
+
+@pytest.mark.parametrize("name", POLY_KEYS)
+def test_closed_polynomial_matches_forward(name):
+    # low degrees only: past n ~ 5 the closed terminating series cancels
+    m = build(name)
+    poly = m.extras[POLY_KEYS[name]]
+    for z in POINTS[name]:
+        pq = forward(m.spec, z, 3)
+        for n in range(4):
+            want = pq.p(n)
+            assert abs(poly(n, z) - want) < 1e-10 * abs(want), (n, z)
+
+
+@pytest.mark.parametrize("c,k", [(1.0, 1), (0.3 - 0.2j, -2), (0.3 - 0.2j, -1),
+                                 (0.3 - 0.2j, 2)])
+def test_q_product_weight_telescopes(c, k):
+    # (c x^k; q)_inf / (q c x^k; q)_inf = 1 - c x^k, on nodes and a scalar
+    q = 0.6
+    w = base.q_product_weight(QContext(q), 2.0, num=((c, k),),
+                              den=((q * c, k),))
+    nodes = 0.9 * np.exp(1j * np.linspace(-3.0, 3.0, 33))
+    for x in (nodes, complex(nodes[5])):
+        want = 2.0 * (1.0 - c * x ** k)
+        assert np.all(np.abs(w(x) - want) <= 1e-13 * np.abs(want))
+    assert isinstance(w(complex(nodes[5])), complex)
+
+
+def test_q_product_weight_calls_the_product_per_factor(monkeypatch):
+    # one call per factor, found at call time, so a rebound q_pochhammer
+    # (a tracer's, say) sees every product the weight takes
+    w = base.q_product_weight(QContext(0.5), 1.0, num=((0.2, 1), (0.3, -2)),
+                              den=((0.1, -1),))
+    calls = []
+
+    def counting(ctx, a, n=math.inf):
+        calls.append(a)
+        return q_pochhammer(ctx, a, n)
+
+    monkeypatch.setattr(base, "q_pochhammer", counting)
+    w(np.exp(1j * np.linspace(0.0, 1.0, 5)))
+    assert len(calls) == 3
