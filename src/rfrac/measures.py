@@ -9,7 +9,7 @@ results bit-stable.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,8 +62,8 @@ class QuadratureConfig:
             raise DomainError("need at least 8 quadrature nodes")
         if self.tail_terms < 1:
             raise DomainError("tail_terms must be positive")
-        if not self.tol > 0:
-            raise DomainError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise DomainError("tol must be positive and finite")
         if self.max_refinements < 1:
             raise DomainError("max_refinements must be positive")
 
@@ -92,8 +92,9 @@ class Measure:
 
     def __post_init__(self):
         if self.variant == CIRCLE:
-            if not self.radius or self.radius <= 0:
-                raise DomainError("circle contour needs a positive radius")
+            if self.radius is None or not 0 < self.radius < math.inf:
+                raise DomainError(
+                    "circle contour needs a positive finite radius")
             if self.density is None:
                 raise DomainError("circle contour needs a density")
         elif self.variant == INTERVAL:
@@ -108,6 +109,8 @@ class Measure:
         elif self.variant == LINE:
             if self.re is None or self.density is None:
                 raise DomainError("vertical line needs re and a density")
+            if not math.isfinite(self.re):
+                raise DomainError("vertical line needs a finite re")
         elif self.variant == DISCRETE:
             if not self.points:
                 raise DomainError("discrete measure needs mass points")

@@ -7,7 +7,7 @@ models.
 """
 
 from ..errors import DomainError, OutOfSpanError
-from .base import BiorthFamily, CoordinateMap, ModelSpec
+from .base import BiorthFamily, ModelSpec
 from . import (cauchy_beta, cheby_rational, halfline, pastro, rahman,
                sinh_lattice, unit_circle)
 from .cheby_rational import elementary_mass
@@ -24,7 +24,6 @@ __all__ = [
     "MODEL_NAMES",
     "ModelSpec",
     "BiorthFamily",
-    "CoordinateMap",
     "instantiate",
     "minimal_closed_form",
     "biorth",

@@ -1,11 +1,10 @@
 """Shared wiring for the concrete model catalog.
 
 A model bundles a recurrence coefficient family with its closed-form
-minimal solution, the continued fraction value, a spectral measure, and a
-coordinate map between the fraction variable and the plane the measure
-naturally lives in.  Everything is carried as plain closures so the
-numerical layers (recurrence, measures) can consume a model without
-knowing which one it is.
+minimal solution, the continued fraction value and a spectral measure.
+Everything is carried as plain closures so the numerical layers
+(recurrence, measures) can consume a model without knowing which one it
+is.
 
 The model modules build those closures from the shared pieces here:
 
@@ -17,7 +16,8 @@ The model modules build those closures from the shared pieces here:
   solution;
 - ``branch_guard``: the check that z is off the curve separating two
   closed-form branches;
-- ``joukowski_outer_root`` and the coordinate maps.
+- ``joukowski_split``, ``joukowski_outer_root``, ``exp_sinh_inverse`` and
+  ``unit_circle_pair``: the branch choices the closed forms are written on.
 """
 
 import cmath
@@ -33,20 +33,16 @@ from ..qseries import q_pochhammer
 
 __all__ = [
     "BiorthFamily",
-    "CoordinateMap",
     "ModelSpec",
     "PrefixProduct",
     "branch_guard",
     "exp_sinh_inverse",
     "fraction_from_minimal",
-    "joukowski_coordinate",
     "joukowski_outer_root",
     "joukowski_split",
-    "plain_coordinate",
     "q_product_weight",
     "real_base",
     "require",
-    "sinh_coordinate",
     "theta_interval",
     "unit_circle_pair",
 ]
@@ -70,35 +66,20 @@ def real_base(value):
 
 
 @dataclass(frozen=True)
-class CoordinateMap:
-    """Change of variable between the fraction plane and the model plane.
-
-    ``forward`` maps the model's natural parameter (u on the unit-disk
-    exterior, or the exponential argument) to the fraction variable;
-    ``inverse`` goes back, always onto the branch the minimal solution
-    closed forms are written on.
-    """
-
-    name: str
-    forward: object
-    inverse: object
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     """A concrete recurrence model with all of its closed-form attachments.
 
     ``minimal`` is (n, z) -> value of the subdominant solution, ``cf_value``
-    is z -> value of the associated continued fraction.  ``extras`` carries
-    model-specific closures (polynomial families, weights, lattices) that
-    the generic interface has no slot for.
+    is z -> value of the associated continued fraction.  ``extras`` holds
+    only what a test or a closed identity reads that the generic interface
+    has no slot for: the q-context, closed polynomials, weights, pairings,
+    transforms and masses.
     """
 
     name: str
     params: dict
     spec: object
     measure: object
-    coordinate: CoordinateMap
     minimal: object
     cf_value: object
     extras: dict = field(default_factory=dict)
@@ -109,25 +90,16 @@ class BiorthFamily:
     """Two indexed function families paired against a fixed measure.
 
     ``left`` and ``right`` map an index n to a point-evaluation closure;
-    ``norm`` gives the closed-form value of the diagonal pairing, or is
-    None when no closed form is available.  ``pairing`` is the measure the
-    gram matrix is taken against (it need not coincide with the model's
-    spectral measure).
+    ``norm`` gives the closed-form value of the diagonal pairing.
+    ``pairing`` is required: it is the measure the Gram matrix is taken
+    against, which need not coincide with the model's spectral measure.
     """
 
     left: object
     right: object
     norm: object
     validity: str
-    pairing: object = None
-
-
-def _identity(z):
-    return complex(z)
-
-
-def plain_coordinate():
-    return CoordinateMap(name="plain", forward=_identity, inverse=_identity)
+    pairing: object
 
 
 def joukowski_split(z):
@@ -144,13 +116,6 @@ def joukowski_split(z):
     return u
 
 
-def _joukowski_forward(u):
-    uc = complex(u)
-    if uc == 0.0:
-        raise DomainError("the midpoint map is singular at u = 0")
-    return 0.5 * (uc + 1.0 / uc)
-
-
 def joukowski_outer_root(z):
     """joukowski_split(z), refused on the segment [-1, 1] carrying the measure."""
     u = joukowski_split(z)
@@ -158,11 +123,6 @@ def joukowski_outer_root(z):
         raise SupportProximityError(
             f"z = {complex(z)} lies on the segment [-1, 1] carrying the measure")
     return u
-
-
-def joukowski_coordinate():
-    return CoordinateMap(name="joukowski", forward=_joukowski_forward,
-                         inverse=joukowski_outer_root)
 
 
 def exp_sinh_inverse(z):
@@ -177,19 +137,6 @@ def exp_sinh_inverse(z):
     if abs(s) < 1.0:
         s = -1.0 / s
     return s
-
-
-def _sinh_forward(xi):
-    return cmath.sinh(complex(xi))
-
-
-def _sinh_inverse(z):
-    return cmath.log(exp_sinh_inverse(z))
-
-
-def sinh_coordinate():
-    return CoordinateMap(name="sinh", forward=_sinh_forward,
-                         inverse=_sinh_inverse)
 
 
 def unit_circle_pair(x):

@@ -13,8 +13,7 @@ import numpy as np
 from ..measures import vertical_line
 from ..qseries import gamma_fn, hyper_2f1, shifted_factorial
 from ..recurrence import R_II, RecurrenceSpec
-from .base import (BiorthFamily, ModelSpec, branch_guard, plain_coordinate,
-                   require)
+from .base import BiorthFamily, ModelSpec, branch_guard, require
 
 NAME = "Cauchy2F1_32"
 
@@ -114,15 +113,13 @@ def build(params):
     pairing = vertical_line(0.5, pairing_density, support_meta="Re t = 1/2")
 
     extras = {
-        "solution_left": lambda n, z: _solution_left(a, b, n, complex(z)),
-        "solution_right": lambda n, z: _solution_right(a, b, n, complex(z)),
         "poly": lambda n, z: complex(_poly_eval(_poly_coeffs(a, b, n), z)),
         "pairing": pairing,
         "mass": (a - b + 1.0) / (a - b),
     }
     return ModelSpec(name=NAME, params={"a": a, "b": b}, spec=spec,
-                     measure=measure, coordinate=plain_coordinate(),
-                     minimal=minimal, cf_value=cf_value, extras=extras)
+                     measure=measure, minimal=minimal, cf_value=cf_value,
+                     extras=extras)
 
 
 def biorth_family(model):

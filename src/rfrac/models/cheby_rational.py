@@ -21,8 +21,8 @@ from ..measures import interval, normalization
 from ..qseries import QContext, basic_phi, multi_q_pochhammer, q_pochhammer
 from ..recurrence import R_II, RecurrenceSpec
 from .base import (BiorthFamily, ModelSpec, PrefixProduct,
-                   fraction_from_minimal, joukowski_coordinate,
-                   joukowski_outer_root, require, real_base, unit_circle_pair)
+                   fraction_from_minimal, joukowski_outer_root, require,
+                   real_base, unit_circle_pair)
 from .rahman import recurrence_maps
 
 NAME = "ChebyRational51"
@@ -78,8 +78,6 @@ def build(params):
 
     extras = {
         "ctx": ctx,
-        "u": u,
-        "uprod": uprod,
         "mass": 1.0 / (1.0 - al * de),
         "transform": transform_value,
         # transform_value(z) = transform_scale * integral of w/(z - x)
@@ -87,8 +85,7 @@ def build(params):
                             / (1.0 - q)),
     }
     return ModelSpec(name=NAME, params={"q": q, "alpha": al, "delta": de},
-                     spec=spec, measure=measure,
-                     coordinate=joukowski_coordinate(), minimal=minimal,
+                     spec=spec, measure=measure, minimal=minimal,
                      cf_value=cf_value, extras=extras)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import BranchBoundaryError
 from ..measures import interval
 from ..recurrence import R_II, RecurrenceSpec
-from .base import BiorthFamily, ModelSpec, plain_coordinate, require
+from .base import BiorthFamily, ModelSpec, require
 
 NAME = "ChebyshevR2_31"
 
@@ -89,13 +89,11 @@ def build(params):
 
     extras = {
         "poly": lambda n, x: _poly(ra, rb, n, x),
-        "rational": lambda n, x: _rational(a, b, ra, rb, n, x),
-        "branch_root": lambda z: _branch_root(z, ra, rb),
         "pairing": pairing,
     }
     return ModelSpec(name=NAME, params={"a": a, "b": b}, spec=spec,
-                     measure=measure, coordinate=plain_coordinate(),
-                     minimal=minimal, cf_value=cf_value, extras=extras)
+                     measure=measure, minimal=minimal, cf_value=cf_value,
+                     extras=extras)
 
 
 def biorth_family(model):

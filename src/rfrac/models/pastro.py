@@ -14,8 +14,8 @@ import numpy as np
 from ..measures import circle_contour, stieltjes
 from ..qseries import QContext, basic_phi, multi_q_pochhammer, q_pochhammer
 from ..recurrence import R_I, RecurrenceSpec
-from .base import (BiorthFamily, ModelSpec, branch_guard, plain_coordinate,
-                   q_product_weight, real_base, require)
+from .base import (BiorthFamily, ModelSpec, branch_guard, q_product_weight,
+                   real_base, require)
 
 NAME = "Pastro21"
 
@@ -66,11 +66,6 @@ def _poly_first(ctx, a, b, m, z):
     s = basic_phi(ctx, (q ** (-m), a * q), (q ** (1 - m) / b,),
                   z * math.sqrt(q) / b)
     return pref * s.value
-
-
-def _poly_second(ctx, a, b, m, z):
-    # the first family with the weight parameters swapped
-    return _poly_first(ctx, b, a, m, z)
 
 
 def build(params):
@@ -130,16 +125,12 @@ def build(params):
 
     extras = {
         "ctx": ctx,
-        "solution_inner": lambda n, z: _solution_inner(ctx, a, b, n, complex(z)),
-        "solution_outer": lambda n, z: _solution_outer(ctx, a, b, n, complex(z)),
         "poly_first": lambda m, z: _poly_first(ctx, a, b, m, complex(z)),
-        "poly_second": lambda m, z: _poly_second(ctx, a, b, m, complex(z)),
-        "pairing_weight": pairing_weight,
         "pairing": pairing,
     }
     return ModelSpec(name=NAME, params={"q": q, "a": a, "b": b}, spec=spec,
-                     measure=measure, coordinate=plain_coordinate(),
-                     minimal=minimal, cf_value=cf_value, extras=extras)
+                     measure=measure, minimal=minimal, cf_value=cf_value,
+                     extras=extras)
 
 
 def biorth_family(model):
@@ -153,7 +144,8 @@ def biorth_family(model):
         return lambda t: _poly_first(ctx, a, b, m, complex(t))
 
     def right(n):
-        return lambda t: _poly_second(ctx, a, b, n, 1.0 / complex(t))
+        # the first family with the weight parameters swapped, at 1/t
+        return lambda t: _poly_first(ctx, b, a, n, 1.0 / complex(t))
 
     def norm(n):
         return (q_pochhammer(ctx, q, n) * q_pochhammer(ctx, a * b * q, n)
@@ -168,7 +160,8 @@ def transform_241(params, n, k, z, cfg=None):
     """Moment-type circle integral of t^(k-n) against the n-th polynomial.
 
     Returns (lhs, rhs): the contour integral computed by quadrature and its
-    closed-form value, which switches branch across |z| = sqrt(q).
+    closed-form value, which switches branch across |z| = sqrt(q) and is a
+    multiple of the minimal solution on either side.
     """
     q, a, b = _checked(params)
     require(isinstance(n, int) and isinstance(k, int) and 0 <= k <= n,
@@ -190,18 +183,8 @@ def transform_241(params, n, k, z, cfg=None):
     lhs = stieltjes(m, zc, cfg)
 
     if abs(zc) < rq:
-        pref = (zc ** k
-                * multi_q_pochhammer(ctx, (a * q ** (n + 1), b * q ** (n + 1)))
-                / multi_q_pochhammer(ctx, (q ** (n + 1), a * b * q ** (n + 1))))
-        s = basic_phi(ctx, (1.0 / a, q ** (n + 1)), (b * q ** (n + 1),),
-                      a * zc * rq)
-        rhs = pref * s.value
+        rhs = zc ** (k - n) * _solution_inner(ctx, a, b, n, zc)
     else:
-        pref = (q ** (0.5 * (n + 1)) * zc ** (k - n - 1)
-                * multi_q_pochhammer(ctx, (a * q ** (n + 1), a * q ** (n + 2), b))
-                / multi_q_pochhammer(ctx, (q ** (n + 1), a * b * q ** (n + 1),
-                                           a * q)))
-        s = basic_phi(ctx, (q / b, q ** (n + 1)), (a * q ** (n + 2),),
-                      b * rq / zc)
-        rhs = pref * s.value
+        rhs = (rq * zc ** (k - n - 1) * q_pochhammer(ctx, b)
+               / q_pochhammer(ctx, a * q) * _solution_outer(ctx, a, b, n, zc))
     return lhs, rhs

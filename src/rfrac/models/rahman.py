@@ -21,9 +21,9 @@ from ..measures import normalization
 from ..qseries import QContext, basic_phi, multi_q_pochhammer, q_pochhammer, w87
 from ..recurrence import R_II, RecurrenceSpec
 from .base import (BiorthFamily, ModelSpec, PrefixProduct,
-                   fraction_from_minimal, joukowski_coordinate,
-                   joukowski_outer_root, q_product_weight, require, real_base,
-                   theta_interval, unit_circle_pair)
+                   fraction_from_minimal, joukowski_outer_root,
+                   q_product_weight, require, real_base, theta_interval,
+                   unit_circle_pair)
 
 NAME = "Rahman52"
 
@@ -182,8 +182,6 @@ def build(params):
 
     extras = {
         "ctx": ctx,
-        "u": u,
-        "uprod": uprod,
         "transform": transform_value,
         "pairing": pairing,
         "pairing_mass": (multi_q_pochhammer(ctx, (be, q * be, p))
@@ -192,8 +190,7 @@ def build(params):
     }
     return ModelSpec(name=NAME,
                      params={"q": q, "alpha": al, "beta": be, "delta": de},
-                     spec=spec, measure=measure,
-                     coordinate=joukowski_coordinate(), minimal=minimal,
+                     spec=spec, measure=measure, minimal=minimal,
                      cf_value=cf_value, extras=extras)
 
 

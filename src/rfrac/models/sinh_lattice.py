@@ -4,8 +4,7 @@ The variable enters through z = sinh(xi) and the mass points march
 geometrically to infinity along the real axis.  No closed solution ladder
 is available here; the continued-fraction limit has a very-well-poised
 closed form with a matching Mittag-Leffler expansion over the grid, and
-that expansion doubles as the model's measure.  A cosh-grid companion
-family is exposed behind a flag, with no printed norms.
+that expansion doubles as the model's measure.
 """
 
 import cmath
@@ -15,8 +14,7 @@ from ..measures import discrete
 from ..qseries import QContext, basic_phi, multi_q_pochhammer, q_pochhammer, w87
 from ..recurrence import R_II, RecurrenceSpec
 from .base import (BiorthFamily, ModelSpec, PrefixProduct, exp_sinh_inverse,
-                   fraction_from_minimal, joukowski_split, real_base, require,
-                   sinh_coordinate)
+                   fraction_from_minimal, real_base, require)
 
 NAME = "SinhLattice42"
 
@@ -112,16 +110,6 @@ def rational_grid_swapped(ctx, t1, t2, t3, t4, n, z):
     return rational_grid(ctx, t2, t1, t3, t4, n, z)
 
 
-def cosh_rational(ctx, t1, t2, t3, t4, n, z):
-    # companion family on the cosh grid; e + 1/e = 2z
-    q = ctx.q
-    e = joukowski_split(complex(z))
-    s = basic_phi(ctx, (q ** -n, t1 * t2 * q ** (n - 2), -t1 * t3 / q,
-                        -t1 * t4 / q),
-                  (t1 * e, t1 / e, t1 * t2 * t3 * t4 / q ** 3), q)
-    return s.value
-
-
 def _poly(ctx, t1, t2, t3, t4, uprod, n, z):
     q = ctx.q
     rst = cmath.sqrt(t3 * t4)
@@ -131,10 +119,7 @@ def _poly(ctx, t1, t2, t3, t4, uprod, n, z):
                                      -t1 * t2 / q ** 2), n)
             / ((2.0 * t1 * rst / q) ** n
                * q_pochhammer(ctx, -t1 * t2 / q ** 2, 2 * n) * uprod(n)))
-    s = basic_phi(ctx, (q ** -n, -t1 * t2 * q ** (n - 2), -t1 * t3 / q,
-                        -t1 * t4 / q),
-                  (-t1 * e, t1 / e, t1 * t2 * t3 * t4 / q ** 3), q)
-    return pref * s.value
+    return pref * rational_grid(ctx, t1, t2, t3, t4, n, z)
 
 
 def _solution(ctx, t1, t2, t3, t4, uprod, uv, n, z):
@@ -162,7 +147,6 @@ def _solution(ctx, t1, t2, t3, t4, uprod, uv, n, z):
 
 def build(params):
     q, t1, t2, t3, t4 = _checked(params)
-    cosh_grid = bool(params.get("cosh", False))
     ctx = QContext(q)
     tp = t1 * t2 * t3 * t4
     rst = cmath.sqrt(t3 * t4)
@@ -224,22 +208,14 @@ def build(params):
 
     extras = {
         "ctx": ctx,
-        "u": u,
-        "uprod": uprod,
         "poly": lambda n, z: _poly(ctx, t1, t2, t3, t4, uprod, n, z),
         "closure_ratio": closure_ratio,
         "pairing": pairing,
-        "cosh_lattice": cosh_grid,
     }
-    if cosh_grid:
-        extras["cosh_points"] = tuple(
-            0.5 * (t3 * q ** (-k - 1) + q ** (k + 1) / t3)
-            for k in range(_GRID_POINTS))
     return ModelSpec(name=NAME,
-                     params={"q": q, "t1": t1, "t2": t2, "t3": t3, "t4": t4,
-                             "cosh": cosh_grid},
-                     spec=spec, measure=measure, coordinate=sinh_coordinate(),
-                     minimal=minimal, cf_value=cf_value, extras=extras)
+                     params={"q": q, "t1": t1, "t2": t2, "t3": t3, "t4": t4},
+                     spec=spec, measure=measure, minimal=minimal,
+                     cf_value=cf_value, extras=extras)
 
 
 def biorth_family(model):
@@ -247,18 +223,6 @@ def biorth_family(model):
     q, t1, t2, t3, t4 = pp["q"], pp["t1"], pp["t2"], pp["t3"], pp["t4"]
     ctx = model.extras["ctx"]
     tp = t1 * t2 * t3 * t4
-
-    if model.extras["cosh_lattice"]:
-        def left(m):
-            return lambda z: cosh_rational(ctx, t1, t2, t3, t4, m, z)
-
-        def right(n):
-            return lambda z: cosh_rational(ctx, t2, t1, t3, t4, n, z)
-
-        return BiorthFamily(left=left, right=right, norm=None,
-                            validity="|t1 t2 t3 t4| < q^3; no closed norms "
-                                     "on the cosh grid",
-                            pairing=None)
 
     def left(m):
         return lambda z: rational_grid(ctx, t1, t2, t3, t4, m, z)

@@ -15,8 +15,7 @@ from ..measures import circle_contour
 from ..qseries import QContext, basic_phi, multi_q_pochhammer, q_pochhammer, w87
 from ..recurrence import R_II, RecurrenceSpec
 from .base import (BiorthFamily, ModelSpec, PrefixProduct, branch_guard,
-                   plain_coordinate, q_product_weight, real_base, require,
-                   theta_interval)
+                   q_product_weight, real_base, require, theta_interval)
 
 NAME = "UnitCircle41"
 
@@ -128,9 +127,7 @@ def _poly(ctx, a, b, t1, t2, uprod, n, z):
             * multi_q_pochhammer(ctx, (a * t2 * z * rq, b * t2, t1 * t2 / q,
                                        p / q), n)
             / ((2.0 * t2) ** n * q_pochhammer(ctx, p / q, 2 * n) * uprod(n)))
-    s = basic_phi(ctx, (q ** -n, p * q ** (n - 1), t2 * z / rq, t2),
-                  (a * t2 * z * rq, b * t2, t1 * t2 / q), q)
-    return pref * s.value
+    return pref * rational_first(ctx, a, b, t1, t2, n, z)
 
 
 def build(params):
@@ -195,20 +192,14 @@ def build(params):
 
     extras = {
         "ctx": ctx,
-        "u": u,
-        "uprod": uprod,
-        "solution_inner": lambda n, z: _solution_inner(ctx, a, b, t1, t2,
-                                                       uprod, n, complex(z)),
-        "solution_outer": lambda n, z: _solution_outer(ctx, a, b, t1, t2,
-                                                       uprod, n, complex(z)),
         "poly": lambda n, z: _poly(ctx, a, b, t1, t2, uprod, n, complex(z)),
         "base_weight": base_weight,
         "pairing": pairing,
     }
     return ModelSpec(name=NAME,
                      params={"q": q, "a": a, "b": b, "t1": t1, "t2": t2},
-                     spec=spec, measure=measure, coordinate=plain_coordinate(),
-                     minimal=minimal, cf_value=cf_value, extras=extras)
+                     spec=spec, measure=measure, minimal=minimal,
+                     cf_value=cf_value, extras=extras)
 
 
 def rational_first(ctx, a, b, t1, t2, n, z):

@@ -47,10 +47,11 @@ class QContext:
     max_terms: int = 4000
 
     def __post_init__(self):
-        if abs(self.q) >= 1.0:
+        if not abs(self.q) < 1.0:
             raise DomainError(f"need |q| < 1, got q = {self.q!r}")
-        if not (self.eps_product > 0.0 and self.eps_series > 0.0):
-            raise DomainError("eps_product and eps_series must be positive")
+        if not (0.0 < self.eps_product < INF and 0.0 < self.eps_series < INF):
+            raise DomainError(
+                "eps_product and eps_series must be positive and finite")
         if self.max_terms < 1:
             raise DomainError("max_terms must be at least 1")
 
@@ -62,7 +63,6 @@ class SeriesResult:
     value: complex
     terms_used: int
     tail_bound: float
-    converged: bool
 
 
 def shifted_factorial(a, n):
@@ -130,7 +130,7 @@ def _sum_terms(step, stop, eps, max_terms):
         for n in range(stop):
             term = term * step(n)
             partial += term
-        return SeriesResult(partial, stop + 1, 0.0, True)
+        return SeriesResult(partial, stop + 1, 0.0)
     prev = 1.0
     for n in range(max_terms):
         term = term * step(n)
@@ -138,13 +138,13 @@ def _sum_terms(step, stop, eps, max_terms):
         t = abs(term)
         if t == 0.0:
             # a numerator factor vanished exactly, so every later term does too
-            return SeriesResult(partial, n + 2, 0.0, True)
+            return SeriesResult(partial, n + 2, 0.0)
         if prev > 0.0:
             ratio = t / prev
             if ratio < 1.0:
                 tail = t / (1.0 - ratio)
                 if tail <= eps * max(1.0, abs(partial)):
-                    return SeriesResult(partial, n + 2, tail, True)
+                    return SeriesResult(partial, n + 2, tail)
         prev = t
     raise DivergenceError(
         f"series did not meet the tail criterion within {max_terms} terms")

@@ -149,6 +149,24 @@ def test_rahman_measure_and_pairing_constants():
     assert abs(mass - want) < 1e-10 * abs(want)
 
 
+def test_cheby_rational_transform_constant():
+    model = instantiate("ChebyRational51", PARAMS["ChebyRational51"])
+    scale = model.extras["transform_scale"]
+    for z in (2.5 + 0.3j, -1.7 + 0.8j, 0.3 + 1.2j):
+        want = model.extras["transform"](z)
+        got = scale * stieltjes(model.measure, z)
+        assert abs(got - want) < 1e-12 * abs(want), z
+
+
+# the line rule converges only as O(h^2), hence the looser Cauchy2F1_32 bound
+@pytest.mark.parametrize("name,rtol", [("ChebyRational51", 1e-12),
+                                       ("Cauchy2F1_32", 1e-9)])
+def test_measure_mass_closed_form(name, rtol):
+    model = instantiate(name, PARAMS[name])
+    want = model.extras["mass"]
+    assert abs(normalization(model.measure) - want) < rtol * abs(want)
+
+
 def test_elementary_mass_closed_form():
     lhs, rhs = elementary_mass({"q": 0.5, "alpha": 0.5, "delta": 0.25})
     assert abs(rhs - 1.0 / (1.0 - 0.125)) < 1e-15
@@ -213,6 +231,13 @@ def test_transform_qbeta_corner():
 def test_transform_both_branches(z):
     lhs, rhs = transform_241({"q": 0.5, "a": 0.2, "b": 0.3}, 2, 1, z)
     assert abs(lhs - rhs) < 1e-9
+
+
+@pytest.mark.parametrize("n,k", [(0, 0), (3, 1), (4, 4), (6, 2)])
+def test_transform_closed_side_matches_quadrature(n, k):
+    for z in TRANSFORM_POINTS["Pastro21"]:
+        lhs, rhs = transform_241(PARAMS["Pastro21"], n, k, z)
+        assert abs(lhs - rhs) < 1e-12 * abs(rhs), z
 
 
 def test_transform_branch_boundary():

@@ -204,6 +204,7 @@ def test_config_validation():
         dict(nodes=4),
         dict(tail_terms=0),
         dict(tol=0.0),
+        dict(tol=math.inf),
         dict(max_refinements=0),
     ):
         with pytest.raises(DomainError):
@@ -217,6 +218,11 @@ def test_measure_validation():
         interval(0.0, math.inf, lambda x: 1.0)
     with pytest.raises(DomainError):
         circle_contour(0.0, lambda th: 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            circle_contour(bad, lambda th: 1.0)
+    with pytest.raises(DomainError):
+        vertical_line(math.nan, lambda y: 1.0)
     with pytest.raises(DomainError):
         interval(0.0, 2.0, lambda x: 1.0, chebyshev_second_kind=True)
     with pytest.raises(DomainError):

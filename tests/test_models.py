@@ -14,6 +14,7 @@ from rfrac.models import (
     instantiate,
     minimal_closed_form,
 )
+from rfrac.models.sinh_lattice import rational_grid
 from rfrac.qseries import QContext, multi_q_pochhammer, q_pochhammer
 from rfrac.recurrence import (R_II, forward, minimal_solution_backward,
                               pincherle_residual)
@@ -197,26 +198,6 @@ def test_family_validity_and_nonzero_norms(name):
         assert fam.norm(n) != 0
 
 
-def test_sinh_lattice_cosh_companion():
-    params = dict(PARAMS["SinhLattice42"], cosh=True)
-    m = instantiate("SinhLattice42", params)
-    assert m.extras["cosh_lattice"]
-    assert len(m.extras["cosh_points"]) > 0
-    fam = biorth(m)
-    assert fam.norm is None
-    val = fam.left(2)(1.3 + 0.4j)
-    assert cmath.isfinite(val)
-
-
-@pytest.mark.parametrize("name", MODEL_NAMES)
-def test_coordinate_maps_round_trip(name):
-    m = build(name)
-    z = POINTS[name][0]
-    u = m.coordinate.inverse(z)
-    back = m.coordinate.forward(u)
-    assert abs(back - z) < 1e-12 * max(1.0, abs(z))
-
-
 # the closed numerator polynomial each model publishes, by extras key
 POLY_KEYS = {
     "Pastro21": "poly_first",
@@ -237,6 +218,22 @@ def test_closed_polynomial_matches_forward(name):
         for n in range(4):
             want = pq.p(n)
             assert abs(poly(n, z) - want) < 1e-10 * abs(want), (n, z)
+
+
+def test_sinh_lattice_closure_ratio():
+    # P_n(z) / prod_{j=1..n} (z - b_{j+1}) is closure_ratio(n) times the
+    # grid member; stops at n = 4, past which the terminating series cancels
+    m = build("SinhLattice42")
+    pp = m.params
+    ctx = m.extras["ctx"]
+    for z in POINTS["SinhLattice42"]:
+        pq = forward(m.spec, z, 4)
+        head = 1.0
+        for n in range(1, 5):
+            head *= z - m.spec.b(n + 1)
+            want = m.extras["closure_ratio"](n) * rational_grid(
+                ctx, pp["t1"], pp["t2"], pp["t3"], pp["t4"], n, z)
+            assert abs(pq.p(n) / head - want) < 1e-10 * abs(want), (n, z)
 
 
 @pytest.mark.parametrize("c,k", [(1.0, 1), (0.3 - 0.2j, -2), (0.3 - 0.2j, -1),

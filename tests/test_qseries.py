@@ -26,7 +26,7 @@ CTX = QContext(q=0.5)
 
 
 def test_qcontext_rejects_base_outside_unit_disk():
-    for q in (1.0, -1.0, 1.2, 0.8 + 0.7j):
+    for q in (1.0, -1.0, 1.2, 0.8 + 0.7j, math.nan):
         with pytest.raises(DomainError):
             QContext(q=q)
     QContext(q=0.99)
@@ -38,6 +38,9 @@ def test_qcontext_rejects_bad_tolerances():
         QContext(q=0.5, eps_product=0.0)
     with pytest.raises(DomainError):
         QContext(q=0.5, eps_series=-1e-10)
+    for bad in (dict(eps_product=math.inf), dict(eps_series=math.inf)):
+        with pytest.raises(DomainError):
+            QContext(q=0.5, **bad)
     with pytest.raises(DomainError):
         QContext(q=0.5, max_terms=0)
 
@@ -154,13 +157,12 @@ def test_termination_index_edge_parameters():
 def test_hyper_2f1_binomial_case():
     # 2F1(a, b; b; z) = (1 - z)^(-a)
     res = hyper_2f1(1.0, 0.7, 0.7, 0.5)
-    assert res.converged
     assert res.value == pytest.approx(2.0, rel=1e-13)
 
 
 def test_hyper_2f1_terminating_cases():
     res = hyper_2f1(-2.0, 1.0, 1.0, 1.0)
-    assert res.converged and res.tail_bound == 0.0
+    assert res.tail_bound == 0.0
     assert abs(res.value) < 1e-14
     # terminating series are summed exactly even outside the unit disk
     for n in range(1, 7):
@@ -192,7 +194,6 @@ def test_hyper_2f1_pole_and_divergence():
 def test_basic_phi_zero_argument():
     res = basic_phi(CTX, [0.3, 0.7], [0.2], 0.0)
     assert res.value == 1.0
-    assert res.converged
 
 
 def test_basic_phi_two_term_terminating():
@@ -216,7 +217,6 @@ def test_basic_phi_q_gauss_sum():
         * q_pochhammer(CTX, c / b)
         / (q_pochhammer(CTX, c) * q_pochhammer(CTX, z))
     )
-    assert res.converged
     assert res.value == pytest.approx(want, rel=1e-12)
     assert res.tail_bound <= CTX.eps_series * max(1.0, abs(res.value))
 
