@@ -37,10 +37,11 @@ def _circle_weight(ctx, rq, a, b, const):
                             den=((a * rq, 1), (b * rq, -1)))
 
 
-def _solution_inner(ctx, a, b, n, z):
+def _inner_series(ctx, a, b, n, z, k):
+    # z**k times the closed series of the minimal solution, which is k = n;
     # valid for |z| < sqrt(q)
     q = ctx.q
-    pref = (z ** n
+    pref = (z ** k
             * multi_q_pochhammer(ctx, (a * q ** (n + 1), b * q ** (n + 1)))
             / multi_q_pochhammer(ctx, (q ** (n + 1), a * b * q ** (n + 1))))
     s = basic_phi(ctx, (1.0 / a, q ** (n + 1)), (b * q ** (n + 1),),
@@ -88,7 +89,7 @@ def build(params):
         zc = complex(z)
         branch_guard(abs(zc) - rq, rq, "|z| = sqrt(q)", zc)
         if abs(zc) < rq:
-            return _solution_inner(ctx, a, b, n, zc)
+            return _inner_series(ctx, a, b, n, zc, n)
         return _solution_outer(ctx, a, b, n, zc)
 
     def cf_value(z):
@@ -160,8 +161,9 @@ def transform_241(params, n, k, z, cfg=None):
     """Moment-type circle integral of t^(k-n) against the n-th polynomial.
 
     Returns (lhs, rhs): the contour integral computed by quadrature and its
-    closed-form value, which switches branch across |z| = sqrt(q) and is a
-    multiple of the minimal solution on either side.
+    closed-form value, which switches branch across |z| = sqrt(q).  Inside,
+    it is the minimal solution's series times z^k; outside, a multiple of
+    the minimal solution.
     """
     q, a, b = _checked(params)
     require(isinstance(n, int) and isinstance(k, int) and 0 <= k <= n,
@@ -183,7 +185,7 @@ def transform_241(params, n, k, z, cfg=None):
     lhs = stieltjes(m, zc, cfg)
 
     if abs(zc) < rq:
-        rhs = zc ** (k - n) * _solution_inner(ctx, a, b, n, zc)
+        rhs = _inner_series(ctx, a, b, n, zc, k)
     else:
         rhs = (rq * zc ** (k - n - 1) * q_pochhammer(ctx, b)
                / q_pochhammer(ctx, a * q) * _solution_outer(ctx, a, b, n, zc))

@@ -225,6 +225,11 @@ def test_qbeta_gamma_generic_point():
 def test_transform_qbeta_corner():
     lhs, rhs = transform_241({"q": 0.5, "a": 0.2, "b": 0.3}, 0, 0, 0.0)
     assert abs(lhs - rhs) < 1e-9
+    # k < n at and near the origin: the closed side is z^k times a series,
+    # never z^(k-n) times a solution that carries z^n
+    for n, k, z in [(2, 1, 0.0), (2, 1, 1e-80), (6, 2, 1e-80)]:
+        lhs, rhs = transform_241({"q": 0.5, "a": 0.2, "b": 0.3}, n, k, z)
+        assert abs(lhs - rhs) < 1e-12, (n, k, z)
 
 
 @pytest.mark.parametrize("z", [0.3, 3.0])
