@@ -21,6 +21,10 @@ __all__ = [
 
 # two interpolation points count as equal within this
 _PT_TOL = 1e-12
+# kappa_tails: first depth, relative tolerance, most depth doublings
+_KAPPA_DEPTH = 400
+_KAPPA_TOL = 1e-12
+_KAPPA_LEVELS = 8
 
 
 def _pmul_linear(p, r):
@@ -93,7 +97,6 @@ class MomentFunctional:
     def __init__(self, kind, spec, lam1=None, N0=None, N1=None):
         self.kind = kind
         self.spec = spec
-        self.lam1 = lam1
         self.norms = []          # R_I: lam1 lam_2 ... lam_{n+1}; R_II: N_n
         self.basis_values = {}   # descriptor -> value
         if kind == R_I:
@@ -170,7 +173,7 @@ def build_RII(spec, N0, N1):
     return MomentFunctional(R_II, spec, N0=N0, N1=N1)
 
 
-def kappa_tails(spec, jmax, depth=400, tol=1e-12, max_levels=8):
+def kappa_tails(spec, jmax):
     """Tail values kappa_j, j = 1..jmax, of the lambda continued fraction.
 
     Bottom-up sweeps with zero seed at a ladder of doubling depths.
@@ -202,20 +205,20 @@ def kappa_tails(spec, jmax, depth=400, tol=1e-12, max_levels=8):
     rows = []
     hs = []
     est_prev = None
-    D = max(depth, jmax + 2)
-    for _ in range(max_levels):
+    D = max(_KAPPA_DEPTH, jmax + 2)
+    for _ in range(_KAPPA_LEVELS):
         rows.append(sweep(D))
         hs.append(1.0 / D)
         est = _neville_last(hs, rows)
         if est_prev is not None:
             err = max(
                 abs(e - p) / max(1.0, abs(e)) for e, p in zip(est, est_prev))
-            if err <= tol:
+            if err <= _KAPPA_TOL:
                 return est
         est_prev = est
         D *= 2
     raise ConvergenceError(
-        f"kappa tails did not stabilize within {max_levels} depth doublings")
+        f"kappa tails did not stabilize within {_KAPPA_LEVELS} depth doublings")
 
 
 def _neville_last(hs, rows):

@@ -79,7 +79,6 @@ class Measure:
     """
 
     variant: str
-    support_meta: str = ""
     radius: float = None
     density: object = None
     lo: float = None
@@ -118,29 +117,25 @@ class Measure:
             raise DomainError(f"unknown measure variant {self.variant!r}")
 
 
-def circle_contour(radius, density, support_meta=""):
+def circle_contour(radius, density):
     """Contour |t| = radius; density(theta) is the t-plane density at
     t = radius*exp(i theta), and dt = i*t*dtheta is supplied internally."""
-    return Measure(variant=CIRCLE, radius=float(radius), density=density,
-                   support_meta=support_meta)
+    return Measure(variant=CIRCLE, radius=float(radius), density=density)
 
 
-def interval(lo, hi, weight, chebyshev_second_kind=False, theta_density=None,
-             support_meta=""):
+def interval(lo, hi, weight, chebyshev_second_kind=False, theta_density=None):
     return Measure(variant=INTERVAL, lo=float(lo), hi=float(hi), weight=weight,
                    chebyshev_second_kind=chebyshev_second_kind,
-                   theta_density=theta_density, support_meta=support_meta)
+                   theta_density=theta_density)
 
 
-def vertical_line(re, density, support_meta=""):
+def vertical_line(re, density):
     """Line Re t = re; density(y) is the linear density in y = Im t."""
-    return Measure(variant=LINE, re=float(re), density=density,
-                   support_meta=support_meta)
+    return Measure(variant=LINE, re=float(re), density=density)
 
 
-def discrete(points, support_meta=""):
-    return Measure(variant=DISCRETE, points=tuple(points),
-                   support_meta=support_meta)
+def discrete(points):
+    return Measure(variant=DISCRETE, points=tuple(points))
 
 
 # -- node evaluation and the refinement ladder -----------------------------

@@ -1,9 +1,9 @@
 """Registry binding the seven explicit models to one interface.
 
-Each model module exposes ``NAME``, ``build(params)`` and
-``biorth_family(model)``; this package maps the public names onto them
-and re-exports the integral identities that live next to individual
-models.
+Each model module exposes ``NAME`` and ``build(params)``, besides its
+integral identities; ``build`` returns the whole model, its biorthogonal
+family included.  This package maps the public names onto the builders
+and re-exports the identities that live next to individual models.
 """
 
 from ..errors import DomainError, OutOfSpanError
@@ -17,7 +17,6 @@ from .rahman import herglotz_511, qbeta_519
 _MODULES = (pastro, halfline, cauchy_beta, unit_circle, sinh_lattice,
             cheby_rational, rahman)
 _BUILDERS = {m.NAME: m.build for m in _MODULES}
-_FAMILIES = {m.NAME: m.biorth_family for m in _MODULES}
 MODEL_NAMES = tuple(m.NAME for m in _MODULES)
 
 __all__ = [
@@ -54,10 +53,4 @@ def minimal_closed_form(model, n, z):
 
 def biorth(model):
     """The model's biorthogonal pair with its closed norms."""
-    try:
-        family = _FAMILIES[model.name]
-    except KeyError:
-        known = ", ".join(MODEL_NAMES)
-        raise OutOfSpanError(
-            f"unknown model {model.name!r}; known models: {known}") from None
-    return family(model)
+    return model.family()

@@ -1,7 +1,8 @@
 """Shared wiring for the concrete model catalog.
 
 A model bundles a recurrence coefficient family with its closed-form
-minimal solution, the continued fraction value and a spectral measure.
+minimal solution, the continued fraction value, a spectral measure and
+its biorthogonal rational pair.
 Everything is carried as plain closures so the numerical layers
 (recurrence, measures) can consume a model without knowing which one it
 is.
@@ -70,9 +71,12 @@ class ModelSpec:
     """A concrete recurrence model with all of its closed-form attachments.
 
     ``minimal`` is (n, z) -> value of the subdominant solution, ``cf_value``
-    is z -> value of the associated continued fraction.  ``extras`` holds
-    only what a test or a closed identity reads that the generic interface
-    has no slot for: the q-context, closed polynomials, weights, pairings,
+    is z -> value of the associated continued fraction.  ``family`` is a
+    zero-argument closure over the model's own build state that returns
+    its ``BiorthFamily``; it runs only when called, so a family-only
+    parameter check or constant costs nothing until the pair is asked for.
+    ``extras`` holds only the closed identities a test reads that the
+    generic interface has no slot for: closed polynomials, weights,
     transforms and masses.
     """
 
@@ -82,6 +86,7 @@ class ModelSpec:
     measure: object
     minimal: object
     cf_value: object
+    family: object
     extras: dict = field(default_factory=dict)
 
 
@@ -90,15 +95,14 @@ class BiorthFamily:
     """Two indexed function families paired against a fixed measure.
 
     ``left`` and ``right`` map an index n to a point-evaluation closure;
-    ``norm`` gives the closed-form value of the diagonal pairing.
-    ``pairing`` is required: it is the measure the Gram matrix is taken
-    against, which need not coincide with the model's spectral measure.
+    ``norm`` maps n to the closed-form value of the diagonal pairing.
+    ``pairing`` is the measure the Gram matrix is taken against, which
+    need not coincide with the model's spectral measure.
     """
 
     left: object
     right: object
     norm: object
-    validity: str
     pairing: object
 
 
@@ -218,11 +222,10 @@ def q_product_weight(ctx, const, num, den):
     return weight
 
 
-def theta_interval(theta_density, support_meta):
+def theta_interval(theta_density):
     """The [-1, 1] measure whose angle density is w(cos t) sin t."""
     def weight(x):
         xv = np.asarray(x, dtype=float)
         return theta_density(np.arccos(xv)) / np.sqrt(1.0 - xv * xv)
 
-    return interval(-1.0, 1.0, weight, theta_density=theta_density,
-                    support_meta=support_meta)
+    return interval(-1.0, 1.0, weight, theta_density=theta_density)

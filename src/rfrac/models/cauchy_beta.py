@@ -103,52 +103,45 @@ def build(params):
         t = 0.5 + 1j * np.asarray(y, dtype=float)
         return dconst * np.power(t, -a) * np.power(np.conj(t), b - 1.0)
 
-    measure = vertical_line(0.5, density, support_meta="Re t = 1/2")
+    measure = vertical_line(0.5, density)
 
     def pairing_density(y):
         t = 0.5 + 1j * np.asarray(y, dtype=float)
         return (np.power(t, -a - 1.0) * np.power(np.conj(t), b - 1.0)
                 / (2.0 * math.pi))
 
-    pairing = vertical_line(0.5, pairing_density, support_meta="Re t = 1/2")
+    pairing = vertical_line(0.5, pairing_density)
+
+    def family():
+        def left(m):
+            coeffs = _poly_coeffs(a, b, m)
+
+            def f(t):
+                t = np.asarray(t, dtype=complex)
+                return _poly_eval(coeffs, t) / (t - 1.0) ** m
+            return f
+
+        def right(n):
+            # the left family at 1 - t with both parameters negated and swapped
+            coeffs = _poly_coeffs(-b, -a, n)
+
+            def f(t):
+                t = np.asarray(t, dtype=complex)
+                return _poly_eval(coeffs, 1.0 - t) / (-t) ** n
+            return f
+
+        def norm(n):
+            return (gamma_fn(1.0 + a - b) * math.factorial(n)
+                    * shifted_factorial(1.0 + a - b, n)
+                    / (gamma_fn(1.0 + a) * gamma_fn(1.0 - b) * 4.0 ** n
+                       * shifted_factorial(0.5 * (a - b + 1.0), n) ** 2))
+
+        return BiorthFamily(left=left, right=right, norm=norm, pairing=pairing)
 
     extras = {
         "poly": lambda n, z: complex(_poly_eval(_poly_coeffs(a, b, n), z)),
-        "pairing": pairing,
         "mass": (a - b + 1.0) / (a - b),
     }
     return ModelSpec(name=NAME, params={"a": a, "b": b}, spec=spec,
                      measure=measure, minimal=minimal, cf_value=cf_value,
-                     extras=extras)
-
-
-def biorth_family(model):
-    a = model.params["a"]
-    b = model.params["b"]
-
-    def left(m):
-        coeffs = _poly_coeffs(a, b, m)
-
-        def f(t):
-            t = np.asarray(t, dtype=complex)
-            return _poly_eval(coeffs, t) / (t - 1.0) ** m
-        return f
-
-    def right(n):
-        # the left family at 1 - t with both parameters negated and swapped
-        coeffs = _poly_coeffs(-b, -a, n)
-
-        def f(t):
-            t = np.asarray(t, dtype=complex)
-            return _poly_eval(coeffs, 1.0 - t) / (-t) ** n
-        return f
-
-    def norm(n):
-        return (gamma_fn(1.0 + a - b) * math.factorial(n)
-                * shifted_factorial(1.0 + a - b, n)
-                / (gamma_fn(1.0 + a) * gamma_fn(1.0 - b) * 4.0 ** n
-                   * shifted_factorial(0.5 * (a - b + 1.0), n) ** 2))
-
-    return BiorthFamily(left=left, right=right, norm=norm,
-                        validity="Re(a - b) > 0, a != 0, -1; b != 0, 1",
-                        pairing=model.extras["pairing"])
+                     family=family, extras=extras)

@@ -71,13 +71,24 @@ def build(params):
         return (2.0 / uu * (1.0 - al * de * q)
                 / ((1.0 - al / uu) * (1.0 - q) * (1.0 - de / uu)))
 
-    measure = interval(
-        -1.0, 1.0, _weight(al, de), chebyshev_second_kind=True,
-        support_meta="segment [-1, 1], Chebyshev weight over two real "
-                     "quadratics")
+    measure = interval(-1.0, 1.0, _weight(al, de), chebyshev_second_kind=True)
+
+    def family():
+        def left(m):
+            return lambda x: rational_ladder(ctx, de, al, m, x)
+
+        def right(n):
+            return lambda x: rational_ladder(ctx, al, de, n, x)
+
+        def norm(n):
+            qn = q_pochhammer(ctx, q, n)
+            an = q_pochhammer(ctx, al * de, n)
+            return ((al * de) ** n * qn * qn
+                    / (an * an * (1.0 - al * de * q ** (2 * n))))
+
+        return BiorthFamily(left=left, right=right, norm=norm, pairing=measure)
 
     extras = {
-        "ctx": ctx,
         "mass": 1.0 / (1.0 - al * de),
         "transform": transform_value,
         # transform_value(z) = transform_scale * integral of w/(z - x)
@@ -86,7 +97,7 @@ def build(params):
     }
     return ModelSpec(name=NAME, params={"q": q, "alpha": al, "delta": de},
                      spec=spec, measure=measure, minimal=minimal,
-                     cf_value=cf_value, extras=extras)
+                     cf_value=cf_value, family=family, extras=extras)
 
 
 def rational_ladder(ctx, al, de, n, x):
@@ -115,28 +126,6 @@ def partial_fractions(ctx, al, de, n, x):
         # (q^{-n};q)_k q^k / (q;q)_k over the gaussian binomial
         sign *= -q ** (k + 1 - n)
     return total
-
-
-def biorth_family(model):
-    pp = model.params
-    q, al, de = pp["q"], pp["alpha"], pp["delta"]
-    ctx = model.extras["ctx"]
-
-    def left(m):
-        return lambda x: rational_ladder(ctx, de, al, m, x)
-
-    def right(n):
-        return lambda x: rational_ladder(ctx, al, de, n, x)
-
-    def norm(n):
-        qn = q_pochhammer(ctx, q, n)
-        an = q_pochhammer(ctx, al * de, n)
-        return ((al * de) ** n * qn * qn
-                / (an * an * (1.0 - al * de * q ** (2 * n))))
-
-    return BiorthFamily(left=left, right=right, norm=norm,
-                        validity="max(|alpha|, |delta|) < 1",
-                        pairing=model.measure)
 
 
 def elementary_mass(params, cfg=None):

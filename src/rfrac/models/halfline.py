@@ -78,38 +78,27 @@ def build(params):
     def weight(x):
         return (2.0 / math.pi) * (ra + rb) * np.sqrt(-x) / ((a - x) * (b - x))
 
-    measure = interval(-math.inf, 0.0, weight, support_meta="(-inf, 0]")
+    measure = interval(-math.inf, 0.0, weight)
 
     def pairing_weight(x):
         return (2.0 / math.pi) * (ra + rb) * np.sqrt(-x) \
             / ((a - x) ** 2 * (b - x))
 
-    pairing = interval(-math.inf, 0.0, pairing_weight,
-                       support_meta="(-inf, 0]")
+    pairing = interval(-math.inf, 0.0, pairing_weight)
 
-    extras = {
-        "poly": lambda n, x: _poly(ra, rb, n, x),
-        "pairing": pairing,
-    }
+    def family():
+        def member(n):
+            return lambda x: _rational(a, b, ra, rb, n, x)
+
+        def norm(n):
+            # the diagonal alternates between the two pole anchors
+            root = ra if n % 2 == 0 else rb
+            return 0.25 ** n / (root * (ra + rb))
+
+        return BiorthFamily(left=member, right=member, norm=norm,
+                            pairing=pairing)
+
+    extras = {"poly": lambda n, x: _poly(ra, rb, n, x)}
     return ModelSpec(name=NAME, params={"a": a, "b": b}, spec=spec,
                      measure=measure, minimal=minimal, cf_value=cf_value,
-                     extras=extras)
-
-
-def biorth_family(model):
-    a = model.params["a"]
-    b = model.params["b"]
-    ra = math.sqrt(a)
-    rb = math.sqrt(b)
-
-    def member(n):
-        return lambda x: _rational(a, b, ra, rb, n, x)
-
-    def norm(n):
-        # the diagonal alternates between the two pole anchors
-        root = ra if n % 2 == 0 else rb
-        return 0.25 ** n / (root * (ra + rb))
-
-    return BiorthFamily(left=member, right=member, norm=norm,
-                        validity="a > 0, b > 0",
-                        pairing=model.extras["pairing"])
+                     family=family, extras=extras)

@@ -110,8 +110,7 @@ def build(params):
     def density(theta):
         return spectral_weight(rq * np.exp(1j * np.asarray(theta, dtype=float)))
 
-    measure = circle_contour(rq, density,
-                             support_meta=f"|t| = sqrt({q})")
+    measure = circle_contour(rq, density)
 
     # weight of the swapped-parameter pairing on the unit circle, in theta
     fconst = (q_pochhammer(ctx, q) * q_pochhammer(ctx, q * a * b)
@@ -122,39 +121,29 @@ def build(params):
         t = np.exp(1j * np.asarray(theta, dtype=float))
         return pairing_weight(t) / (1j * t)
 
-    pairing = circle_contour(1.0, pairing_density, support_meta="|t| = 1")
+    pairing = circle_contour(1.0, pairing_density)
 
-    extras = {
-        "ctx": ctx,
-        "poly_first": lambda m, z: _poly_first(ctx, a, b, m, complex(z)),
-        "pairing": pairing,
-    }
+    def family():
+        require(abs(a) < 1.0, "|a| < 1 for the unit-circle pairing")
+
+        def left(m):
+            return lambda t: _poly_first(ctx, a, b, m, complex(t))
+
+        def right(n):
+            # the first family with the weight parameters swapped, at 1/t
+            return lambda t: _poly_first(ctx, b, a, n, 1.0 / complex(t))
+
+        def norm(n):
+            return (q_pochhammer(ctx, q, n) * q_pochhammer(ctx, a * b * q, n)
+                    / (q_pochhammer(ctx, a * q, n)
+                       * q_pochhammer(ctx, b * q, n)))
+
+        return BiorthFamily(left=left, right=right, norm=norm, pairing=pairing)
+
+    extras = {"poly": lambda m, z: _poly_first(ctx, a, b, m, complex(z))}
     return ModelSpec(name=NAME, params={"q": q, "a": a, "b": b}, spec=spec,
                      measure=measure, minimal=minimal, cf_value=cf_value,
-                     extras=extras)
-
-
-def biorth_family(model):
-    q = model.params["q"]
-    a = model.params["a"]
-    b = model.params["b"]
-    require(abs(a) < 1.0, "|a| < 1 for the unit-circle pairing")
-    ctx = model.extras["ctx"]
-
-    def left(m):
-        return lambda t: _poly_first(ctx, a, b, m, complex(t))
-
-    def right(n):
-        # the first family with the weight parameters swapped, at 1/t
-        return lambda t: _poly_first(ctx, b, a, n, 1.0 / complex(t))
-
-    def norm(n):
-        return (q_pochhammer(ctx, q, n) * q_pochhammer(ctx, a * b * q, n)
-                / (q_pochhammer(ctx, a * q, n) * q_pochhammer(ctx, b * q, n)))
-
-    return BiorthFamily(left=left, right=right, norm=norm,
-                        validity="0 < q < 1, |a| < 1, |b| < 1, a b != 0",
-                        pairing=model.extras["pairing"])
+                     family=family, extras=extras)
 
 
 def transform_241(params, n, k, z, cfg=None):

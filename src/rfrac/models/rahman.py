@@ -173,17 +173,32 @@ def build(params):
                 q / (be * uu * uu), q / (de * uu), p / q)
         return pref * w.value
 
-    measure = theta_interval(
-        _spectral_theta(ctx, al, be, de),
-        "segment [-1, 1], doubled-pole trigonometric weight")
+    measure = theta_interval(_spectral_theta(ctx, al, be, de))
     pairing = theta_interval(
-        _angle_density(ctx, al, be, de, q * al * be, 1.0 / (2.0 * math.pi)),
-        "segment [-1, 1], pairing weight")
+        _angle_density(ctx, al, be, de, q * al * be, 1.0 / (2.0 * math.pi)))
+
+    def family():
+        def left(m):
+            return lambda x: rational_balanced(ctx, al, be, de, m, x)
+
+        def right(n):
+            return lambda x: rational_plain(ctx, al, be, de, n, x)
+
+        mass_head = (multi_q_pochhammer(ctx, (be, q * be))
+                     / ((1.0 - al * al * be)
+                        * multi_q_pochhammer(ctx, (al * de, be * be, q))))
+
+        def norm(n):
+            return (mass_head * q_pochhammer(ctx, p * q ** n)
+                    * multi_q_pochhammer(ctx, (be * be, q), n) * (al * de) ** n
+                    * (1.0 - p * q ** (n - 1))
+                    / (q_pochhammer(ctx, al * de, n)
+                       * (1.0 - p * q ** (2 * n - 1))))
+
+        return BiorthFamily(left=left, right=right, norm=norm, pairing=pairing)
 
     extras = {
-        "ctx": ctx,
         "transform": transform_value,
-        "pairing": pairing,
         "pairing_mass": (multi_q_pochhammer(ctx, (be, q * be, p))
                          / ((1.0 - al * al * be)
                             * multi_q_pochhammer(ctx, (al * de, be * be, q)))),
@@ -191,7 +206,7 @@ def build(params):
     return ModelSpec(name=NAME,
                      params={"q": q, "alpha": al, "beta": be, "delta": de},
                      spec=spec, measure=measure, minimal=minimal,
-                     cf_value=cf_value, extras=extras)
+                     cf_value=cf_value, family=family, extras=extras)
 
 
 def rational_plain(ctx, al, be, de, n, x):
@@ -246,36 +261,6 @@ def rational_balanced_sum(ctx, al, be, de, n, x):
     return total
 
 
-def biorth_family(model):
-    pp = model.params
-    q, al, be, de = pp["q"], pp["alpha"], pp["beta"], pp["delta"]
-    ctx = model.extras["ctx"]
-    p = al * be * be * de
-    a2b = al * al * be
-
-    def left(m):
-        return lambda x: rational_balanced(ctx, al, be, de, m, x)
-
-    def right(n):
-        return lambda x: rational_plain(ctx, al, be, de, n, x)
-
-    mass_head = (multi_q_pochhammer(ctx, (be, q * be))
-                 / ((1.0 - a2b)
-                    * multi_q_pochhammer(ctx, (al * de, be * be, q))))
-
-    def norm(n):
-        return (mass_head * q_pochhammer(ctx, p * q ** n)
-                * multi_q_pochhammer(ctx, (be * be, q), n) * (al * de) ** n
-                * (1.0 - p * q ** (n - 1))
-                / (q_pochhammer(ctx, al * de, n)
-                   * (1.0 - p * q ** (2 * n - 1))))
-
-    return BiorthFamily(left=left, right=right, norm=norm,
-                        validity="max(|alpha|, |beta|, |delta|) < 1, "
-                                 "beta != 0, |alpha beta^2 delta| < q",
-                        pairing=model.extras["pairing"])
-
-
 def herglotz_511(params, cfg=None):
     """Total mass of the spectral weight against its closed evaluation.
 
@@ -288,7 +273,7 @@ def herglotz_511(params, cfg=None):
     require(max(abs(al), abs(be), abs(de), abs(p / q)) < 1.0,
             "max(|alpha|, |beta|, |delta|, |alpha beta^2 delta / q|) < 1")
     ctx = QContext(q)
-    m = theta_interval(_spectral_theta(ctx, al, be, de), "segment [-1, 1]")
+    m = theta_interval(_spectral_theta(ctx, al, be, de))
     lhs = normalization(m, cfg)
     rhs = ((1.0 - p / q) / (1.0 - be)
            * basic_phi(ctx, (q, q / be), (q * be,), p / q).value)
@@ -301,8 +286,7 @@ def _beta_measure(ctx, al, be, de, top):
     p = al * be * be * de
     fconst = (multi_q_pochhammer(ctx, (al * de, be * be, ctx.q))
               / (multi_q_pochhammer(ctx, (be, ctx.q * be, p)) * 2.0 * math.pi))
-    return theta_interval(_angle_density(ctx, al, be, de, top, fconst),
-                          "segment [-1, 1]")
+    return theta_interval(_angle_density(ctx, al, be, de, top, fconst))
 
 
 def qbeta_519(params, cfg=None):

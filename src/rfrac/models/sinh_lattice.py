@@ -182,7 +182,7 @@ def build(params):
                * (1.0 + q ** (k + 2) / (t3 * t3))
                / ((1.0 - q ** (k + 1) * t1 / t3) * (1.0 - q ** k * t2 / t3)
                   * (1.0 - q ** (k + 1) * t4 / t3) * (1.0 - q ** (k + 1))))
-    measure = discrete(points, support_meta="sinh grid, real axis")
+    measure = discrete(points)
 
     a2 = amap(2)
     pairing_points = []
@@ -196,7 +196,7 @@ def build(params):
         if r0 is None:
             r0 = rk
         pairing_points.append((zk, rk / r0))
-    pairing = discrete(pairing_points, support_meta="sinh grid, normalized")
+    pairing = discrete(pairing_points)
 
     def closure_ratio(n):
         # P_n(z) / prod_{j=1..n} (z - b_{j+1}), a z-free constant multiple
@@ -206,44 +206,34 @@ def build(params):
                 * multi_q_pochhammer(ctx, (-t1 * t2 / q ** 2, tp / q ** 3), n)
                 / (q_pochhammer(ctx, -t1 * t2 / q ** 2, 2 * n) * uprod(n)))
 
+    def family():
+        def left(m):
+            return lambda z: rational_grid(ctx, t1, t2, t3, t4, m, z)
+
+        def right(n):
+            return lambda z: rational_grid_swapped(ctx, t1, t2, t3, t4, n, z)
+
+        hconst = (multi_q_pochhammer(ctx, (-t1 * t2 / q, -t1 * t4 / q,
+                                           -t2 * t4 / q, -q ** 3 / (t3 * t3)))
+                  / multi_q_pochhammer(ctx, (q * t1 / t3, q * t2 / t3,
+                                             q * t4 / t3, tp / q ** 3)))
+
+        def norm(n):
+            return (hconst * (tp / q ** 3) ** n
+                    * (1.0 + t1 * t2 / q ** 2)
+                    / (1.0 + t1 * t2 * q ** (2 * n - 2))
+                    * q_pochhammer(ctx, -q * q / (t3 * t4), n)
+                    * q_pochhammer(ctx, q, n)
+                    / (q_pochhammer(ctx, -t1 * t2 / q ** 2, n)
+                       * q_pochhammer(ctx, tp / q ** 3, n)))
+
+        return BiorthFamily(left=left, right=right, norm=norm, pairing=pairing)
+
     extras = {
-        "ctx": ctx,
         "poly": lambda n, z: _poly(ctx, t1, t2, t3, t4, uprod, n, z),
         "closure_ratio": closure_ratio,
-        "pairing": pairing,
     }
     return ModelSpec(name=NAME,
                      params={"q": q, "t1": t1, "t2": t2, "t3": t3, "t4": t4},
                      spec=spec, measure=measure, minimal=minimal,
-                     cf_value=cf_value, extras=extras)
-
-
-def biorth_family(model):
-    pp = model.params
-    q, t1, t2, t3, t4 = pp["q"], pp["t1"], pp["t2"], pp["t3"], pp["t4"]
-    ctx = model.extras["ctx"]
-    tp = t1 * t2 * t3 * t4
-
-    def left(m):
-        return lambda z: rational_grid(ctx, t1, t2, t3, t4, m, z)
-
-    def right(n):
-        return lambda z: rational_grid_swapped(ctx, t1, t2, t3, t4, n, z)
-
-    hconst = (multi_q_pochhammer(ctx, (-t1 * t2 / q, -t1 * t4 / q,
-                                       -t2 * t4 / q, -q ** 3 / (t3 * t3)))
-              / multi_q_pochhammer(ctx, (q * t1 / t3, q * t2 / t3,
-                                         q * t4 / t3, tp / q ** 3)))
-
-    def norm(n):
-        return (hconst * (tp / q ** 3) ** n
-                * (1.0 + t1 * t2 / q ** 2)
-                / (1.0 + t1 * t2 * q ** (2 * n - 2))
-                * q_pochhammer(ctx, -q * q / (t3 * t4), n)
-                * q_pochhammer(ctx, q, n)
-                / (q_pochhammer(ctx, -t1 * t2 / q ** 2, n)
-                   * q_pochhammer(ctx, tp / q ** 3, n)))
-
-    return BiorthFamily(left=left, right=right, norm=norm,
-                        validity="0 < q < 1, all t nonzero, |t1 t2 t3 t4| < q^3",
-                        pairing=model.extras["pairing"])
+                     cf_value=cf_value, family=family, extras=extras)

@@ -182,24 +182,39 @@ def build(params):
         t = rq * np.exp(1j * np.asarray(theta, dtype=float))
         return dconst * (1.0 - b * t1 / (rq * t)) * base_weight(t)
 
-    measure = circle_contour(rq, density, support_meta=f"|t| = sqrt({q})")
+    measure = circle_contour(rq, density)
 
     def pairing_density(theta):
         t = np.exp(1j * np.asarray(theta, dtype=float))
         return 1j * base_weight(t) / (2.0 * math.pi * t)
 
-    pairing = circle_contour(1.0, pairing_density, support_meta="|t| = 1")
+    pairing = circle_contour(1.0, pairing_density)
+
+    def family():
+        def left(m):
+            return lambda t: rational_first(ctx, a, b, t1, t2, m, complex(t))
+
+        def right(n):
+            return lambda t: rational_second(ctx, a, b, t1, t2, n,
+                                             1.0 / complex(t))
+
+        def norm(n):
+            return (-(t1 * t2 / q) ** n
+                    * (q_pochhammer(ctx, q, n) * q_pochhammer(ctx, a * b * q, n)
+                       * q_pochhammer(ctx, p * q ** (n - 1), n))
+                    / (q_pochhammer(ctx, t1 * t2 / q, n)
+                       * q_pochhammer(ctx, p, 2 * n)))
+
+        return BiorthFamily(left=left, right=right, norm=norm, pairing=pairing)
 
     extras = {
-        "ctx": ctx,
         "poly": lambda n, z: _poly(ctx, a, b, t1, t2, uprod, n, complex(z)),
         "base_weight": base_weight,
-        "pairing": pairing,
     }
     return ModelSpec(name=NAME,
                      params={"q": q, "a": a, "b": b, "t1": t1, "t2": t2},
                      spec=spec, measure=measure, minimal=minimal,
-                     cf_value=cf_value, extras=extras)
+                     cf_value=cf_value, family=family, extras=extras)
 
 
 def rational_first(ctx, a, b, t1, t2, n, z):
@@ -214,31 +229,6 @@ def rational_first(ctx, a, b, t1, t2, n, z):
 def rational_second(ctx, a, b, t1, t2, n, z):
     # the first family with (a, t1) and (b, t2) interchanged
     return rational_first(ctx, b, a, t2, t1, n, z)
-
-
-def biorth_family(model):
-    pp = model.params
-    q, a, b, t1, t2 = pp["q"], pp["a"], pp["b"], pp["t1"], pp["t2"]
-    ctx = model.extras["ctx"]
-    p = a * b * t1 * t2
-
-    def left(m):
-        return lambda t: rational_first(ctx, a, b, t1, t2, m, complex(t))
-
-    def right(n):
-        return lambda t: rational_second(ctx, a, b, t1, t2, n,
-                                         1.0 / complex(t))
-
-    def norm(n):
-        return (-(t1 * t2 / q) ** n
-                * (q_pochhammer(ctx, q, n) * q_pochhammer(ctx, a * b * q, n)
-                   * q_pochhammer(ctx, p * q ** (n - 1), n))
-                / (q_pochhammer(ctx, t1 * t2 / q, n)
-                   * q_pochhammer(ctx, p, 2 * n)))
-
-    return BiorthFamily(left=left, right=right, norm=norm,
-                        validity="0 < q < 1, |a|, |b| < 1, |t1|, |t2| < sqrt(q), all nonzero",
-                        pairing=model.extras["pairing"])
 
 
 def trig_weight_density(q, p1, p2, p3, p4):
@@ -266,4 +256,4 @@ def trig_weight_density(q, p1, p2, p3, p4):
 
 
 def trig_weight_measure(q, p1, p2, p3, p4):
-    return theta_interval(trig_weight_density(q, p1, p2, p3, p4), "[-1, 1]")
+    return theta_interval(trig_weight_density(q, p1, p2, p3, p4))

@@ -2,10 +2,10 @@
 
 Shifted factorials, q-shifted factorials, classical and basic hypergeometric
 sums, the very well poised series, and a Lanczos gamma. Infinite products
-stop once the running factor is within ``eps_product`` of 1; series stop once
-a geometric tail estimate falls below ``eps_series`` relative to the partial
-sum. Both thresholds live in a QContext so every caller truncates the same
-way.
+stop once the running factor is within ``_PRODUCT_EPS`` of 1; basic series
+stop once a geometric tail estimate falls below ``_SERIES_EPS`` relative to
+the partial sum. Both are module constants, so every caller truncates the
+same way; a QContext carries only the base q and the term cap.
 """
 
 import cmath
@@ -22,6 +22,10 @@ INF = math.inf
 _TERMINATION_RTOL = 1e-10
 # A denominator factor this close to zero is treated as an exact pole.
 _POLE_ATOL = 1e-13
+# Truncation thresholds (see the module docstring); hyper_2f1 has its own.
+_PRODUCT_EPS = 1e-16
+_SERIES_EPS = 1e-14
+_HYPER_2F1_EPS = 1e-15
 
 __all__ = [
     "INF",
@@ -39,19 +43,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QContext:
-    """Base q with the truncation thresholds shared by q-products and series."""
+    """Base q with the term cap shared by the basic series."""
 
     q: complex
-    eps_product: float = 1e-16
-    eps_series: float = 1e-14
     max_terms: int = 4000
 
     def __post_init__(self):
         if not abs(self.q) < 1.0:
             raise DomainError(f"need |q| < 1, got q = {self.q!r}")
-        if not (0.0 < self.eps_product < INF and 0.0 < self.eps_series < INF):
-            raise DomainError(
-                "eps_product and eps_series must be positive and finite")
         if self.max_terms < 1:
             raise DomainError("max_terms must be at least 1")
 
@@ -91,7 +90,7 @@ def q_pochhammer(ctx, a, n=INF):
     if math.isinf(n):
         top = float(np.max(np.abs(aq))) if arr and aq.size else abs(aq) if not arr else 0.0
         k = 0
-        while top >= ctx.eps_product:
+        while top >= _PRODUCT_EPS:
             if k >= 100_000:
                 raise DivergenceError("infinite q-product failed to settle")
             out = out * (1.0 - aq)
@@ -180,7 +179,7 @@ def _check_denominator(f, what):
     return f
 
 
-def hyper_2f1(a, b, c, z, eps=1e-15, max_terms=10_000):
+def hyper_2f1(a, b, c, z, max_terms=10_000):
     """Gauss 2F1 by direct summation; terminating cases are summed exactly."""
     stop = None
     for p in (a, b):
@@ -193,7 +192,7 @@ def hyper_2f1(a, b, c, z, eps=1e-15, max_terms=10_000):
         den = _check_denominator((c + n) * (n + 1.0), "hyper_2f1")
         return (a + n) * (b + n) / den * zc
 
-    return _sum_terms(step, stop, eps, max_terms)
+    return _sum_terms(step, stop, _HYPER_2F1_EPS, max_terms)
 
 
 def _nonpositive_integer(p):
@@ -229,7 +228,7 @@ def basic_phi(ctx, upper, lower, z):
             fac *= (-(q**n)) ** extra
         return fac
 
-    return _sum_terms(step, stop, ctx.eps_series, ctx.max_terms)
+    return _sum_terms(step, stop, _SERIES_EPS, ctx.max_terms)
 
 
 def w87(ctx, a, b, c, d, e, f, z):
@@ -256,7 +255,7 @@ def w87(ctx, a, b, c, d, e, f, z):
             den *= _check_denominator(1.0 - dn * q**n, "w87")
         return num / den * zc
 
-    return _sum_terms(step, stop, ctx.eps_series, ctx.max_terms)
+    return _sum_terms(step, stop, _SERIES_EPS, ctx.max_terms)
 
 
 _LANCZOS_G = 7.0

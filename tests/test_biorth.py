@@ -60,15 +60,11 @@ GRAM_TOL = {
 CFG = QuadratureConfig(nodes=128)
 
 
-def pairing_measure(model, fam):
-    return fam.pairing if fam.pairing is not None else model.measure
-
-
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_gram_matches_closed_norms(name):
     model = instantiate(name, PARAMS[name])
     fam = biorth(model)
-    G = weighted_gram(pairing_measure(model, fam), fam.left, fam.right, 4, CFG)
+    G = weighted_gram(fam.pairing, fam.left, fam.right, 4, CFG)
     dtol, otol = GRAM_TOL[name]
     for i in range(4):
         for j in range(4):

@@ -26,7 +26,6 @@ def unit_circle_cauchy():
     return circle_contour(
         1.0,
         lambda th: 1.0 / (2j * math.pi * np.exp(1j * th)),
-        support_meta="|t| = 1",
     )
 
 
@@ -35,7 +34,6 @@ def chebyshev_unit_mass():
         -1.0, 1.0,
         lambda x: (2.0 / math.pi) * np.sqrt(1.0 - x * x),
         chebyshev_second_kind=True,
-        support_meta="[-1, 1] with second-kind weight",
     )
 
 
@@ -44,7 +42,6 @@ def halfline_measure(a=1.0, b=4.0):
     return interval(
         -math.inf, 0.0,
         lambda x: c * np.sqrt(-x) / ((a - x) * (b - x)),
-        support_meta="(-inf, 0]",
     )
 
 

@@ -1,6 +1,7 @@
 """The seven explicit models: construction, closed minimal solutions, branches."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -114,6 +115,13 @@ def test_cheby_rational_zero_parameter_corner():
         m.minimal(1, 2.0 + 1.0j)
 
 
+def test_pastro_pairing_guard_raises_at_biorth():
+    # |a q| = 0.75 < 1 admits the model; the unit-circle pairing needs |a| < 1
+    m = instantiate("Pastro21", {"q": 0.5, "a": 1.5, "b": 0.3})
+    with pytest.raises(DomainError, match=r"\|a\| < 1"):
+        biorth(m)
+
+
 def test_rahman_minimal_needs_nonzero_endpoints():
     m = instantiate("Rahman52",
                     {"q": 0.5, "alpha": 0.0, "beta": 0.3, "delta": 0.1})
@@ -191,28 +199,23 @@ def test_branch_boundary_is_rejected(name, z):
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
-def test_family_validity_and_nonzero_norms(name):
-    fam = biorth(build(name))
-    assert isinstance(fam.validity, str) and fam.validity
+def test_family_norms_nonzero_and_same_on_model_copy(name):
+    m = build(name)
+    fam = biorth(m)
+    # the copy a tracer makes when it rebinds a model's closures
+    copied = biorth(dataclasses.replace(m, minimal=m.minimal))
     for n in range(7):
         assert fam.norm(n) != 0
+        assert copied.norm(n) == fam.norm(n)
 
 
-# the closed numerator polynomial each model publishes, by extras key
-POLY_KEYS = {
-    "Pastro21": "poly_first",
-    "ChebyshevR2_31": "poly",
-    "Cauchy2F1_32": "poly",
-    "UnitCircle41": "poly",
-    "SinhLattice42": "poly",
-}
-
-
-@pytest.mark.parametrize("name", POLY_KEYS)
+# the models that publish a closed numerator polynomial as extras["poly"]
+@pytest.mark.parametrize("name", ("Pastro21", "ChebyshevR2_31", "Cauchy2F1_32",
+                                  "UnitCircle41", "SinhLattice42"))
 def test_closed_polynomial_matches_forward(name):
     # low degrees only: past n ~ 5 the closed terminating series cancels
     m = build(name)
-    poly = m.extras[POLY_KEYS[name]]
+    poly = m.extras["poly"]
     for z in POINTS[name]:
         pq = forward(m.spec, z, 3)
         for n in range(4):
@@ -225,7 +228,7 @@ def test_sinh_lattice_closure_ratio():
     # grid member; stops at n = 4, past which the terminating series cancels
     m = build("SinhLattice42")
     pp = m.params
-    ctx = m.extras["ctx"]
+    ctx = QContext(pp["q"])
     for z in POINTS["SinhLattice42"]:
         pq = forward(m.spec, z, 4)
         head = 1.0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rfrac.errors import DivergenceError, DomainError, PoleError
 from rfrac.qseries import (
+    _SERIES_EPS,
     _TERMINATION_RTOL,
     INF,
     _termination_index,
@@ -34,13 +35,6 @@ def test_qcontext_rejects_base_outside_unit_disk():
 
 
 def test_qcontext_rejects_bad_tolerances():
-    with pytest.raises(DomainError):
-        QContext(q=0.5, eps_product=0.0)
-    with pytest.raises(DomainError):
-        QContext(q=0.5, eps_series=-1e-10)
-    for bad in (dict(eps_product=math.inf), dict(eps_series=math.inf)):
-        with pytest.raises(DomainError):
-            QContext(q=0.5, **bad)
     with pytest.raises(DomainError):
         QContext(q=0.5, max_terms=0)
 
@@ -218,7 +212,7 @@ def test_basic_phi_q_gauss_sum():
         / (q_pochhammer(CTX, c) * q_pochhammer(CTX, z))
     )
     assert res.value == pytest.approx(want, rel=1e-12)
-    assert res.tail_bound <= CTX.eps_series * max(1.0, abs(res.value))
+    assert res.tail_bound <= _SERIES_EPS * max(1.0, abs(res.value))
 
 
 def test_basic_phi_pole_and_divergence():
