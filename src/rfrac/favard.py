@@ -1,12 +1,23 @@
-"""Moment functionals built recursively from recurrence coefficients.
+"""Moment functionals from recurrence coefficients.
 
 A functional L is pinned down by a normalization (L[1], and for the
 two-point kind the next value N_1) together with the orthogonality of the
-rationalized families. Everything else it can evaluate (rational moments,
-tail products, inverse interpolation factors) follows by a finite recursion,
-which is what this module implements. No integral is ever computed here;
-agreement with quadrature is a theorem, and the tests treat it as one.
+rationalized families. On the span those relations fix, L is a finite
+discrete measure: the nodes are the zeros of a denominator P_n and the
+weights the residues of the convergent Q_n/P_n there, so that
+sum_j w_j / (z - x_j) = Q_n(z) / P_n(z). The convergent is a multipoint
+rational interpolant of the fraction, which is why the rule is exact on the
+span at finite n and not an approximation of an integral. The nodes are
+the eigenvalues of a tridiagonal pencil (Zhedanov, "Biorthogonal rational
+functions and the generalized eigenvalue problem", J. Approx. Theory 101,
+1999). Agreement with a model's measure is a theorem, and the tests treat
+it as one.
 """
+
+from numbers import Integral
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError, OutOfSpanError
 from .recurrence import R_I, R_II
@@ -19,7 +30,7 @@ __all__ = [
     "functional_apply",
 ]
 
-# two interpolation points count as equal within this
+# two interpolation points, or a node and a pole, count as equal within this
 _PT_TOL = 1e-12
 # kappa_tails: first depth, relative tolerance, most depth doublings
 _KAPPA_DEPTH = 400
@@ -27,90 +38,39 @@ _KAPPA_TOL = 1e-12
 _KAPPA_LEVELS = 8
 
 
-def _pmul_linear(p, r):
-    """Coefficients of (x - r) * p(x), ascending order."""
-    out = [0.0 + 0.0j] * (len(p) + 1)
-    for i, ci in enumerate(p):
-        out[i] -= r * ci
-        out[i + 1] += ci
-    return out
+class PencilRule(NamedTuple):
+    """The n-point rule of the convergent Q_n / P_n.
 
-
-def _padd(p, q, scale=1.0):
-    out = list(p) + [0.0 + 0.0j] * max(0, len(q) - len(p))
-    for i, ci in enumerate(q):
-        out[i] += scale * ci
-    return out
-
-
-def _peval(p, x):
-    v = 0.0 + 0.0j
-    for ci in reversed(p):
-        v = v * x + ci
-    return v
-
-
-def _lead(p, degree):
-    """Coefficient of x^degree; the stored lists may carry padding zeros."""
-    return p[degree] if degree < len(p) else 0.0 + 0.0j
-
-
-def _pdivmod_monic(p, d):
-    """Divide p by a monic polynomial d; returns (quotient, remainder)."""
-    rem = list(p)
-    dd = len(d) - 1
-    if dd == 0:
-        return list(rem), [0.0 + 0.0j]
-    quot = [0.0 + 0.0j] * max(1, len(p) - dd)
-    for i in range(len(p) - 1, dd - 1, -1):
-        coef = rem[i]
-        quot[i - dd] = coef
-        if coef != 0.0:
-            for j in range(dd + 1):
-                rem[i - dd + j] -= coef * d[j]
-    return quot, rem[:dd]
-
-
-def _newton_coeffs(p, nodes):
-    """Expand p over 1, (x-r_1), (x-r_1)(x-r_2), ... for nodes r_1, r_2, ...
-
-    Returned list has len(nodes)+1 entries; classic repeated synthetic
-    division, valid for repeated nodes too.
+    nodes and weights satisfy sum_j w_j / (z - x_j) = Q_n(z) / P_n(z).
+    inv_a[j, i] = prod_{k=2}^{i+1} (x_j - a_k)^{-1} for i = 0..n-1, and
+    inv_b the same over the b points (None for kind R_I).
     """
-    work = list(p)
-    out = []
-    for r in nodes:
-        rem = 0.0 + 0.0j
-        for i in range(len(work) - 1, -1, -1):
-            rem = work[i] + r * rem
-            work[i] = rem
-        out.append(work[0])
-        # dropping the remainder slot leaves the quotient coefficients
-        work = work[1:] if len(work) > 1 else [0.0 + 0.0j]
-    out.append(work[0] if work else 0.0 + 0.0j)
-    return out
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    inv_a: np.ndarray
+    inv_b: np.ndarray
 
 
 class MomentFunctional:
-    """State of the recursive construction for one recurrence family."""
+    """The functional of one recurrence family and its cached rule.
+
+    The span is what the normalization and the orthogonality relations
+    fix: the values L[x^k R_n] or L[x^k S_n], and the inverse prefixes
+    L[prod_{i=2}^{j+1} (x - a_i)^{-1}] (times prod_{i=2}^{k+1} (x - b_i)^{-1}
+    for kind R_II), plus the powers L[x^k] for kind R_I. A prefix or power
+    of depth d is read off the n-point rule of the convergent Q_n/P_n with
+    n = d + 1; the rule is rebuilt only when a deeper value is asked for.
+    """
 
     def __init__(self, kind, spec, lam1=None, N0=None, N1=None):
         self.kind = kind
         self.spec = spec
-        self.norms = []          # R_I: lam1 lam_2 ... lam_{n+1}; R_II: N_n
+        # R_I: lam1 lam_2 ... lam_{n+1}; R_II: N_n
+        self.norms = ([complex(lam1)] if kind == R_I
+                      else [complex(N0), complex(N1)])
         self.basis_values = {}   # descriptor -> value
-        if kind == R_I:
-            self.norms.append(complex(lam1))
-        else:
-            self.norms.append(complex(N0))
-            self.norms.append(complex(N1))
-        # caches for the rational-moment recursions
-        self._poly = [[1.0 + 0.0j]]        # P_0, P_1, ... coefficient lists
-        self._poly_prev = [0.0 + 0.0j]     # P_{-1}
-        self._nu = None                    # R_I prefix-inverse moments
-        self._pow = None                   # R_I power moments
-        self._alpha = None                 # R_II single-pole moments, a side
-        self._beta = None                  # R_II single-pole moments, b side
+        self._rule = None        # the deepest PencilRule built so far
 
     def norm(self, n):
         """R_I: lam1 lam_2 ... lam_{n+1}. R_II: N_n."""
@@ -123,24 +83,89 @@ class MomentFunctional:
                     self.norms[m - 1] - self.spec.lam_checked(m) * self.norms[m - 2])
         return self.norms[n]
 
-    def poly(self, n):
-        """Coefficients of the denominator polynomial P_n, ascending."""
-        while len(self._poly) <= n:
-            m = len(self._poly)
-            prev = self._poly[m - 1]
-            prev2 = self._poly[m - 2] if m >= 2 else self._poly_prev
-            term = _pmul_linear(prev, self.spec.c(m))
-            sub = _pmul_linear(prev2, self.spec.a(m))
-            if self.kind == R_II:
-                sub = _pmul_linear(sub, self.spec.b(m))
-            self._poly.append(_padd(term, sub, -self.spec.lam(m)))
-        return self._poly[n]
+    def rule(self, depth):
+        """A PencilRule exact on the prefixes and powers up to depth."""
+        if self._rule is None or len(self._rule.nodes) <= depth:
+            self._rule = _pencil_rule(self.spec, depth + 1)
+        return self._rule
 
-    def apoints(self, n):
-        return [complex(self.spec.a(j)) for j in range(2, n + 2)]
 
-    def bpoints(self, n):
-        return [complex(self.spec.b(j)) for j in range(2, n + 2)]
+def _pencil_rule(spec, n):
+    """The n-point PencilRule of a recurrence.
+
+    Dividing out the interpolation factors, u_m = P_m / prod_{k=2}^{m+1}
+    (z - a_k), makes the recurrence linear in z:
+
+        (z - a_{m+1}) u_m = (z - c_m) u_{m-1} - lambda_m (z - b_m) u_{m-2},
+
+    without the factor (z - b_m) for kind R_I. Rows m = 1..n read
+    (zK - J) u = 0 with tridiagonal K and J, and det(zK - J) = +-P_n(z), so
+    the nodes are the eigenvalues of K^{-1} J. K is singular exactly when
+    the leading coefficient of P_n vanishes.
+
+    One Newton step on P_n polishes each node, and the weight is the
+    residue Q_n / P_n' there, both from the recurrence divided through by
+    prod_{k=2}^{n} (x - a_k). The weight then carries the same rounded
+    factors (x_j - a_k) that a prefix divides by again, so they cancel; the
+    eigenvector form -V[0, j] (V^{-1} K^{-1} e_1)_j loses those digits
+    where a node sits close to a pole.
+    """
+    def coeffs(f, first):
+        return np.array([f(m) for m in range(first, n + 1)], dtype=complex)
+
+    c, lam, a = coeffs(spec.c, 1), coeffs(spec.lam, 2), coeffs(spec.a, 2)
+    b = coeffs(spec.b, 2) if spec.kind == R_II else None
+    K = -np.eye(n) + np.eye(n, k=1) + (0 if b is None else np.diag(lam, -1))
+    J = -np.diag(c) + np.diag(a, 1) + np.diag(-lam if b is None else lam * b, -1)
+    try:
+        x = np.linalg.eigvals(np.linalg.solve(K, J))
+    except np.linalg.LinAlgError:
+        raise OutOfSpanError(
+            f"the {n}-point rule is singular: P_{n} has lost its leading "
+            "coefficient") from None
+    poles = a if b is None else np.concatenate((a, b))
+    if np.any(np.abs(x[:, None] - poles)
+              <= _PT_TOL * np.maximum(1.0, np.abs(poles))):
+        raise OutOfSpanError(f"a node of the {n}-point rule sits on a pole")
+    with np.errstate(all="ignore"):   # overflow shows up as inf
+        p, dp, _ = _divided_recurrence(x, c, lam, a, b)
+        x = x - p / dp
+        _, dp, q = _divided_recurrence(x, c, lam, a, b)
+        w = q / dp
+
+        def prefixes(pts):
+            gaps = np.hstack((np.ones((n, 1)), x[:, None] - pts))
+            return np.cumprod(1.0 / gaps, axis=1)
+
+        inv_b = None if b is None else prefixes(b)
+        rule = PencilRule(x, w, prefixes(a), inv_b)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        raise OutOfSpanError(f"the {n}-point rule is not finite")
+    return rule
+
+
+def _divided_recurrence(x, c, lam, a, b):
+    """P_n, P_n' and Q_n at x, each divided by prod_{k=2}^{n} (x - a_k).
+
+    c holds c_1..c_n; lam, a and b hold lambda_k, a_k and b_k for
+    k = 2..n, and b is None for kind R_I.
+    """
+    u0, u1 = np.ones_like(x), x - c[0]            # P_{m-2}, P_{m-1}
+    d0, d1 = np.zeros_like(x), np.ones_like(x)    # their derivatives
+    v0, v1 = np.zeros_like(x), np.ones_like(x)    # Q_{m-2}, Q_{m-1}
+    for i in range(len(a)):                       # level m = i + 2
+        den = x - a[i]
+        u1 = u1 / den
+        d1 = (d1 - u1) / den
+        v1 = v1 / den
+        s = x - c[i + 1]
+        g, dg = (1.0, 0.0) if b is None else (x - b[i], 1.0)
+        lg = lam[i] * g
+        u0, u1, d0, d1, v0, v1 = (
+            u1, s * u1 - lg * u0,
+            d1, u1 + s * d1 - lam[i] * dg * u0 - lg * d0,
+            v1, s * v1 - lg * v0)
+    return u1, d1, v1
 
 
 def build_RI(spec, lam1=None):
@@ -236,6 +261,12 @@ def _neville_last(hs, rows):
 
 # -- functional evaluation ------------------------------------------------
 
+# descriptor tag -> number of integer indices, per kind
+_DESCRIPTORS = {
+    R_I: {"power_times_R": 2, "power": 1, "inverse_prefix": 1},
+    R_II: {"power_times_S": 2, "inverse_prefix": 2},
+}
+
 
 def functional_apply(fn, basis):
     """Evaluate the functional on a basis descriptor.
@@ -248,198 +279,66 @@ def functional_apply(fn, basis):
       ("inverse_prefix", j, k)  L[ prod (x-a_i)^{-1} prod (x-b_i)^{-1} ] (R_II)
       list of (coeff, descriptor) pairs for a linear combination
 
-    Values outside the span fixed by the construction raise OutOfSpanError.
+    L[x^k R_n] and L[x^k S_n] are 0 below the diagonal and the norm on it.
+    A power or prefix of depth d = max(indices) >= 1 is the sum of the rule
+    of n = d + 1 points (MomentFunctional.rule), times lambda_1 for kind
+    R_I and N_0 - N_1 for kind R_II; every depth-0 descriptor is L[1].
+    The factor N_0 - N_1 holds because evaluation at infinity meets every
+    two-point relation with N_n = lead(P_n), and vanishes on every prefix
+    of depth >= 1. A malformed descriptor, a singular rule, a node on one
+    of the rule's points a_k or b_k, or a value outside the span raises
+    OutOfSpanError.
     """
     if isinstance(basis, list):
         return sum(c * functional_apply(fn, d) for c, d in basis)
-    key = tuple(basis)
-    if key in fn.basis_values:
-        return fn.basis_values[key]
-    val = _apply(fn, key)
-    fn.basis_values[key] = val
+    _check_descriptor(fn, basis)
+    if basis in fn.basis_values:
+        return fn.basis_values[basis]
+    val = _apply(fn, basis)
+    fn.basis_values[basis] = val
     return val
 
 
+def _check_descriptor(fn, key):
+    """A tag of the kind followed by its number of nonnegative ints."""
+    arities = _DESCRIPTORS[fn.kind]
+    ok = (isinstance(key, tuple) and key and isinstance(key[0], str)
+          and len(key) == 1 + arities.get(key[0], -1))
+    if not ok or not all(isinstance(i, Integral) and not isinstance(i, bool)
+                         and i >= 0 for i in key[1:]):
+        raise OutOfSpanError(
+            f"{key!r} is not a descriptor of kind {fn.kind}: the tags and "
+            f"their counts of nonnegative int indices are {arities}")
+
+
 def _apply(fn, key):
-    tag = key[0]
+    tag, idx = key[0], key[1:]
     if tag in ("power_times_R", "power_times_S"):
-        want = "power_times_R" if fn.kind == R_I else "power_times_S"
-        if tag != want:
-            raise OutOfSpanError(f"{tag} does not apply to kind {fn.kind}")
-        _, k, n = key
-        if k < 0 or n < 0:
-            raise OutOfSpanError("indices must be nonnegative")
+        k, n = idx
         if k > n:
             raise OutOfSpanError(
                 f"x^{k} times the degree-{n} rational is outside the span")
-        if k < n:
-            return 0.0 + 0.0j
-        return fn.norm(n)
-    if tag == "power":
-        if fn.kind != R_I:
-            raise OutOfSpanError("pure powers are outside the two-point span")
-        _, k = key
-        if k < 0:
-            raise OutOfSpanError("power must be nonnegative")
-        return _ri_power_moment(fn, k)
-    if tag == "inverse_prefix":
-        if fn.kind == R_I:
-            if len(key) != 2:
-                raise OutOfSpanError("the one-point prefix takes one depth")
-            return _ri_prefix_moment(fn, key[1])
-        if len(key) != 3:
-            raise OutOfSpanError("the two-point prefix takes two depths")
-        return _rii_prefix_moment(fn, key[1], key[2])
-    raise OutOfSpanError(f"unknown basis descriptor {key!r}")
-
-
-def _ri_prefix_moment(fn, j):
-    """nu_j = L[1 / prod_{i=2}^{j+1}(x - a_i)].
-
-    L[P_n / prod] = 0 expands P_n over the products of its trailing
-    factors, turning each orthogonality relation into one new prefix
-    moment. Repeated interpolation points cost nothing here.
-    """
-    if j < 0:
-        raise OutOfSpanError("prefix depth must be nonnegative")
-    if fn._nu is None:
-        fn._nu = [fn.norm(0)]
-    nu = fn._nu
-    while len(nu) <= j:
-        n = len(nu)
-        nodes = list(reversed(fn.apoints(n)))   # a_{n+1}, a_n, ..., a_2
-        delta = _newton_coeffs(fn.poly(n), nodes)
-        # delta[m] multiplies the inverse prefix of depth n-m
-        pivot = delta[0]                        # = P_n(a_{n+1})
-        if pivot == 0.0:
-            raise OutOfSpanError(
-                f"P_{n} vanishes at its interpolation point; prefix moments "
-                "beyond this level are not determined")
-        acc = 0.0 + 0.0j
-        for m in range(1, n + 1):
-            acc += delta[m] * nu[n - m]
-        nu.append(-acc / pivot)
-    return nu[j]
-
-
-def _ri_power_moment(fn, k):
-    """L[x^k] from L[x^k R_k] = norm(k) after splitting off the poles."""
-    if fn._pow is None:
-        fn._pow = [fn.norm(0)]
-    pw = fn._pow
-    while len(pw) <= k:
-        n = len(pw)
-        num = fn.poly(n)
-        for _ in range(n):
-            num = _pmul_linear(num, 0.0)     # x^n P_n
-        den = [1.0 + 0.0j]
-        for r in fn.apoints(n):
-            den = _pmul_linear(den, r)
-        quot, rem = _pdivmod_monic(num, den)
-        # quot is monic of degree n; its lead multiplies the wanted moment
-        acc = 0.0 + 0.0j
-        for i in range(n):
-            acc += quot[i] * pw[i]
-        nodes = list(reversed(fn.apoints(n)))
-        delta = _newton_coeffs(rem, nodes)
-        pole = sum(delta[m] * _ri_prefix_moment(fn, n - m) for m in range(n + 1))
-        pw.append(fn.norm(n) - acc - pole)
-    return pw[k]
-
-
-def _rii_single_pole(fn, n):
-    """alpha_n = L[1/(x - a_{n+1})] and beta_n = L[1/(x - b_{n+1})].
-
-    Solved two at a time from the k = n-1, n orthogonality relations of
-    level n; all points through that level must be distinct simple poles.
-    The coincident pair a_2 = b_2 is handled by the double-pole branch of
-    _rii_prefix_moment instead.
-    """
-    if fn._alpha is None:
-        fn._alpha = [None]
-        fn._beta = [None]
-    al, be = fn._alpha, fn._beta
-    while len(al) <= n:
-        m = len(al)
-        apts = fn.apoints(m)
-        bpts = fn.bpoints(m)
-        pts = apts + bpts
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if abs(pts[i] - pts[j]) <= _PT_TOL * max(1.0, abs(pts[i])):
-                    raise OutOfSpanError(
-                        "repeated interpolation points support only the "
-                        "first-level moments")
-        p = fn.poly(m)
-        # the two-point polynomials are not monic: x^m P_m over the level-m
-        # denominator tends to the leading coefficient of P_m at infinity
-        rhs = [0.0 + 0.0j, fn.norm(m) - _lead(p, m) * fn.norm(0)]
-        mat = [[0.0 + 0.0j, 0.0 + 0.0j], [0.0 + 0.0j, 0.0 + 0.0j]]
-        for row, k in enumerate((m - 1, m)):
-            for side, mypts, otherpts, cache in (
-                    (0, apts, bpts, al), (1, bpts, apts, be)):
-                for idx, r in enumerate(mypts):
-                    res = r**k * _peval(p, r)
-                    for i, s in enumerate(mypts):
-                        if i != idx:
-                            res /= r - s
-                    for s in otherpts:
-                        res /= r - s
-                    if idx == m - 1:
-                        mat[row][side] = res
-                    else:
-                        rhs[row] -= res * cache[idx + 1]
-        det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-        if det == 0.0:
-            raise OutOfSpanError(
-                f"level {m} moment system is singular; points degenerate")
-        al.append((rhs[0] * mat[1][1] - rhs[1] * mat[0][1]) / det)
-        be.append((mat[0][0] * rhs[1] - mat[1][0] * rhs[0]) / det)
-    return al[n], be[n]
-
-
-def _rii_prefix_moment(fn, ja, jb):
-    """L over the product of the first ja a-factors and jb b-factors."""
-    if ja < 0 or jb < 0:
-        raise OutOfSpanError("prefix depths must be nonnegative")
-    if ja == 0 and jb == 0:
+        return fn.norm(n) if k == n else 0.0 + 0.0j
+    depth = max(idx)
+    if depth == 0:
         return fn.norm(0)
-    c1 = complex(fn.spec.c(1))
-    a2 = complex(fn.spec.a(2))
-    b2 = complex(fn.spec.b(2))
-    coincident = abs(a2 - b2) <= _PT_TOL * max(1.0, abs(a2))
-    if coincident:
-        if (ja, jb) == (1, 1):
-            # double pole: second orthogonality relation gives it directly
-            return (fn.norm(0) - fn.norm(1)) / (a2 - c1) ** 2
-        if (ja, jb) in ((1, 0), (0, 1)):
-            return (fn.norm(1) - fn.norm(0)) / (a2 - c1)
-        raise OutOfSpanError(
-            "coincident a_2 = b_2 supports only the first-level moments")
-    if (ja, jb) == (1, 0):
-        return (fn.norm(1) - fn.norm(0)) / (a2 - c1)
-    if (ja, jb) == (0, 1):
-        return (fn.norm(1) - fn.norm(0)) / (b2 - c1)
-    # general distinct-point case: partial fractions over single poles
-    apts = fn.apoints(ja)
-    bpts = fn.bpoints(jb)
-    out = 0.0 + 0.0j
-    for side, mypts, otherpts in ((0, apts, bpts), (1, bpts, apts)):
-        for idx, r in enumerate(mypts):
-            coef = 1.0 + 0.0j
-            for i, s in enumerate(mypts):
-                if i != idx:
-                    d = r - s
-                    if d == 0.0:
-                        raise OutOfSpanError(
-                            "repeated interpolation points in the prefix")
-                    coef /= d
-            for s in otherpts:
-                d = r - s
-                if d == 0.0:
-                    raise OutOfSpanError(
-                        "interpolation points of the two sides collide")
-                coef /= d
-            a_val, b_val = _rii_single_pole(fn, idx + 1)
-            out += coef * (a_val if side == 0 else b_val)
-    return out
+    if fn.kind == R_I:
+        scale = fn.norm(0)
+    else:
+        a2, b2 = complex(fn.spec.a(2)), complex(fn.spec.b(2))
+        if depth > 1 and abs(a2 - b2) <= _PT_TOL * max(1.0, abs(a2)):
+            raise OutOfSpanError(
+                "coincident a_2 = b_2 supports only the first-level moments")
+        scale = fn.norm(0) - fn.norm(1)
+    r = fn.rule(depth)
+    with np.errstate(all="ignore"):   # overflow shows up as inf
+        if tag == "power":
+            val = r.weights @ r.nodes ** depth
+        elif fn.kind == R_I:
+            val = r.weights @ r.inv_a[:, idx[0]]
+        else:
+            val = (r.weights * r.inv_a[:, idx[0]]) @ r.inv_b[:, idx[1]]
+        val = complex(scale * val)
+    if not np.isfinite(val):
+        raise OutOfSpanError(f"{key!r} overflows the rule's sum")
+    return val

@@ -15,6 +15,7 @@ from rfrac.measures import (
     stieltjes,
     weighted_gram,
 )
+from rfrac.measures import _rule as quadrature_rule
 from rfrac.models import (
     MODEL_NAMES,
     biorth,
@@ -34,6 +35,7 @@ from rfrac.models.rahman import (
 from rfrac.models.unit_circle import trig_weight_measure
 from rfrac.qseries import QContext, q_pochhammer
 from rfrac.recurrence import R_I
+from test_favard import poly_desc
 
 PARAMS = {
     "Pastro21": {"q": 0.5, "a": 0.3, "b": 0.4},
@@ -93,15 +95,14 @@ def test_functional_values_match_quadrature(name):
         scale = k1 / mass
         tag = "power_times_S"
     for n in range(7):
-        coeffs = fn.poly(n)
-        apts = fn.apoints(n)
-        bpts = fn.bpoints(n) if tag == "power_times_S" else []
+        coeffs = poly_desc(spec, n)
+        apts = [spec.a(j) for j in range(2, n + 2)]
+        bpts = ([spec.b(j) for j in range(2, n + 2)]
+                if tag == "power_times_S" else [])
 
         def rational(t, coeffs=coeffs, apts=apts, bpts=bpts):
             t = np.asarray(t, dtype=complex)
-            num = np.zeros_like(t)
-            for c in reversed(coeffs):
-                num = num * t + c
+            num = np.polyval(coeffs, t)
             den = np.ones_like(t)
             for a in apts:
                 den = den * (t - a)
@@ -114,6 +115,49 @@ def test_functional_values_match_quadrature(name):
                              lambda t, k=k: t ** k * rational(t), CFG) * scale
             want = functional_apply(fn, (tag, k, n))
             assert abs(quad - want) < 1e-8, (name, n, k)
+
+
+def prefix_rows(t, points):
+    """Rows 1 / prod_{i < j} (t - points[i]) for j = 0..len(points)."""
+    rows = [np.ones_like(t)]
+    for p in points:
+        rows.append(rows[-1] / (t - p))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "name", ["UnitCircle41", "SinhLattice42", "ChebyRational51", "Rahman52"])
+def test_inverse_prefix_table_matches_quadrature(name):
+    # every L[prod_{i=2}^{j+1} (x-a_i)^{-1} prod_{i=2}^{k+1} (x-b_i)^{-1}],
+    # j, k <= 12, against the measure; the error of entry f is
+    # |L[f] - L[1] I_f / I_1| / (|L[1]| J_f / |I_1|), where I is the
+    # integral against dα and J the integral of |f| against |dα|
+    depth = 12
+    model = instantiate(name, PARAMS[name])
+    spec, m = model.spec, model.measure
+    k1 = kappa_tails(spec, 1)[0]
+    fn = build_RII(spec, k1, k1 - 1.0)
+    apts = [complex(spec.a(i)) for i in range(2, depth + 2)]
+    bpts = [complex(spec.b(i)) for i in range(2, depth + 2)]
+
+    def member(points):
+        return lambda j: lambda t: prefix_rows(np.asarray(t), points[:j])[-1]
+
+    I = weighted_gram(m, member(apts), member(bpts), depth + 1, CFG)
+    # J is a scale, not a value: one fine node set of the same engine
+    if m.variant == "discrete":
+        t, w = (np.array(col, dtype=complex) for col in zip(*m.points))
+    else:
+        t, w = quadrature_rule(m)(4096)
+    J = (np.abs(prefix_rows(t, apts)) * np.abs(w)) @ np.abs(
+        prefix_rows(t, bpts)).T
+    n0 = functional_apply(fn, ("inverse_prefix", 0, 0))
+    for j in range(depth + 1):
+        for k in range(depth + 1):
+            got = functional_apply(fn, ("inverse_prefix", j, k))
+            err = abs(got - n0 * I[j, k] / I[0, 0]) / (
+                abs(n0) * J[j, k] / abs(I[0, 0]))
+            assert err < 1e-8, (name, j, k, err)
 
 
 # points on both sides of the branch circle |z| = sqrt(q) for the circle

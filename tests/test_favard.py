@@ -135,6 +135,18 @@ def test_out_of_span_requests():
         functional_apply(rii, ("inverse_prefix", 2))
     with pytest.raises(OutOfSpanError):
         functional_apply(ri, ("mystery", 1))
+    # malformed descriptors: non-int indices and wrong arity
+    for fn, bad in ((ri, ("power", 1.0)), (ri, ("inverse_prefix", 2.5)),
+                    (ri, ("power",)), (ri, ("power_times_R", 1.5, 2)),
+                    (ri, ("power", True)), (ri, ("power", 1, 2)), (ri, ()),
+                    (rii, ("inverse_prefix", 1, 1.0)),
+                    (rii, ("power_times_S", 2))):
+        with pytest.raises(OutOfSpanError):
+            functional_apply(fn, bad)
+    # a float index is refused even where the int one is cached
+    assert functional_apply(ri, ("power", 1)) != 0.0
+    with pytest.raises(OutOfSpanError):
+        functional_apply(ri, ("power", 1.0))
 
 
 def test_build_kind_mismatch_and_degenerate_points():
@@ -151,6 +163,31 @@ def test_build_kind_mismatch_and_degenerate_points():
     )
     with pytest.raises(DomainError):
         build_RII(bad, N0=1.0, N1=0.5)
+
+
+def test_singular_rule_and_node_on_pole_raise():
+    # lambda_n = 1 gives lead(P_2) = 1 - lambda_2 = 0, so K_2 is singular
+    flat = RecurrenceSpec(
+        kind=R_II,
+        c=lambda n: 0.5,
+        lam=lambda n: 1.0,
+        a=lambda n: 2.0 + n,
+        b=lambda n: -1.0 - n,
+    )
+    fn = build_RII(flat, N0=1.0, N1=0.5)
+    with pytest.raises(OutOfSpanError, match="singular"):
+        functional_apply(fn, ("inverse_prefix", 1, 0))
+    # a_2 = c_1 makes a_2 a zero of every P_n, so a node sits on the pole
+    hit = RecurrenceSpec(
+        kind=R_I,
+        c=lambda n: 0.25 * n,
+        lam=lambda n: 0.3,
+        a=lambda n: 0.25 if n == 2 else 1.0 + n,
+    )
+    fn = build_RI(hit)
+    for depth in (1, 3):
+        with pytest.raises(OutOfSpanError, match="pole"):
+            functional_apply(fn, ("inverse_prefix", depth))
 
 
 # -- first rational moments of the two-point kind --------------------------
