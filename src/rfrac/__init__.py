@@ -43,7 +43,6 @@ from .favard import (
 )
 from .measures import (
     Measure,
-    QuadratureConfig,
     circle_contour,
     discrete,
     integrate,

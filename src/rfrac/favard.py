@@ -12,6 +12,11 @@ the eigenvalues of a tridiagonal pencil (Zhedanov, "Biorthogonal rational
 functions and the generalized eigenvalue problem", J. Approx. Theory 101,
 1999). Agreement with a model's measure is a theorem, and the tests treat
 it as one.
+
+Normalization: a kind R_I functional has L[1] = lambda_1, or 1 when
+lambda_1 = 0; a kind R_II functional has L[1] = N_0 and L[x S_1] = N_1,
+both given by the caller. Powers and prefixes are read off rules of at
+most ``_MAX_DEPTH`` + 1 points.
 """
 
 from numbers import Integral
@@ -32,6 +37,9 @@ __all__ = [
 
 # two interpolation points, or a node and a pole, count as equal within this
 _PT_TOL = 1e-12
+# deepest power or prefix evaluated; the rule is checked this deep, and at
+# 40 points it loses digits where the points a_k, b_k grow like q^{-n}
+_MAX_DEPTH = 20
 # kappa_tails: first depth, relative tolerance, most depth doublings
 _KAPPA_DEPTH = 400
 _KAPPA_TOL = 1e-12
@@ -53,14 +61,15 @@ class PencilRule(NamedTuple):
 
 
 class MomentFunctional:
-    """The functional of one recurrence family and its cached rule.
+    """The functional of one recurrence family and its cached rules.
 
     The span is what the normalization and the orthogonality relations
     fix: the values L[x^k R_n] or L[x^k S_n], and the inverse prefixes
     L[prod_{i=2}^{j+1} (x - a_i)^{-1}] (times prod_{i=2}^{k+1} (x - b_i)^{-1}
     for kind R_II), plus the powers L[x^k] for kind R_I. A prefix or power
     of depth d is read off the n-point rule of the convergent Q_n/P_n with
-    n = d + 1; the rule is rebuilt only when a deeper value is asked for.
+    n = d + 1. Each rule is built once and kept, so a value does not depend
+    on what was asked before it.
     """
 
     def __init__(self, kind, spec, lam1=None, N0=None, N1=None):
@@ -70,7 +79,7 @@ class MomentFunctional:
         self.norms = ([complex(lam1)] if kind == R_I
                       else [complex(N0), complex(N1)])
         self.basis_values = {}   # descriptor -> value
-        self._rule = None        # the deepest PencilRule built so far
+        self._rules = {}         # n -> the n-point PencilRule
 
     def norm(self, n):
         """R_I: lam1 lam_2 ... lam_{n+1}. R_II: N_n."""
@@ -84,10 +93,11 @@ class MomentFunctional:
         return self.norms[n]
 
     def rule(self, depth):
-        """A PencilRule exact on the prefixes and powers up to depth."""
-        if self._rule is None or len(self._rule.nodes) <= depth:
-            self._rule = _pencil_rule(self.spec, depth + 1)
-        return self._rule
+        """The depth + 1 point PencilRule, exact on prefixes and powers up
+        to depth."""
+        if depth + 1 not in self._rules:
+            self._rules[depth + 1] = _pencil_rule(self.spec, depth + 1)
+        return self._rules[depth + 1]
 
 
 def _pencil_rule(spec, n):
@@ -168,22 +178,17 @@ def _divided_recurrence(x, c, lam, a, b):
     return u1, d1, v1
 
 
-def build_RI(spec, lam1=None):
+def build_RI(spec):
     """Functional for the one-point kind, normalized by L[1] = lambda_1.
 
     When the family starts with lambda_1 = 0 (the fraction never uses it)
-    the normalization is a free choice and lambda_1 = 1 is adopted, matching
-    a unit-mass measure. Pass lam1 to override.
+    the normalization is a free choice and L[1] = 1 is adopted, matching a
+    unit-mass measure.
     """
     if spec.kind != R_I:
         raise DomainError("build_RI needs a kind R_I recurrence")
-    if lam1 is None:
-        lam1 = complex(spec.lam(1))
-        if lam1 == 0.0:
-            lam1 = 1.0 + 0.0j
-    if lam1 == 0.0:
-        raise DomainError("lambda_1 must be nonzero for the normalization")
-    return MomentFunctional(R_I, spec, lam1=lam1)
+    lam1 = complex(spec.lam(1))
+    return MomentFunctional(R_I, spec, lam1=lam1 if lam1 != 0.0 else 1.0)
 
 
 def build_RII(spec, N0, N1):
@@ -281,13 +286,13 @@ def functional_apply(fn, basis):
 
     L[x^k R_n] and L[x^k S_n] are 0 below the diagonal and the norm on it.
     A power or prefix of depth d = max(indices) >= 1 is the sum of the rule
-    of n = d + 1 points (MomentFunctional.rule), times lambda_1 for kind
-    R_I and N_0 - N_1 for kind R_II; every depth-0 descriptor is L[1].
+    of n = d + 1 points (MomentFunctional.rule), times L[1] for kind R_I
+    and N_0 - N_1 for kind R_II; every depth-0 descriptor is L[1].
     The factor N_0 - N_1 holds because evaluation at infinity meets every
     two-point relation with N_n = lead(P_n), and vanishes on every prefix
-    of depth >= 1. A malformed descriptor, a singular rule, a node on one
-    of the rule's points a_k or b_k, or a value outside the span raises
-    OutOfSpanError.
+    of depth >= 1. A malformed descriptor, a depth past _MAX_DEPTH, a
+    singular rule, a node on one of the rule's points a_k or b_k, or a
+    value outside the span raises OutOfSpanError.
     """
     if isinstance(basis, list):
         return sum(c * functional_apply(fn, d) for c, d in basis)
@@ -322,14 +327,10 @@ def _apply(fn, key):
     depth = max(idx)
     if depth == 0:
         return fn.norm(0)
-    if fn.kind == R_I:
-        scale = fn.norm(0)
-    else:
-        a2, b2 = complex(fn.spec.a(2)), complex(fn.spec.b(2))
-        if depth > 1 and abs(a2 - b2) <= _PT_TOL * max(1.0, abs(a2)):
-            raise OutOfSpanError(
-                "coincident a_2 = b_2 supports only the first-level moments")
-        scale = fn.norm(0) - fn.norm(1)
+    if depth > _MAX_DEPTH:
+        raise OutOfSpanError(
+            f"{key!r} has depth {depth}, past the cap of {_MAX_DEPTH}")
+    scale = fn.norm(0) if fn.kind == R_I else fn.norm(0) - fn.norm(1)
     r = fn.rule(depth)
     with np.errstate(all="ignore"):   # overflow shows up as inf
         if tag == "power":

@@ -2,10 +2,15 @@
 
 Densities and weights always arrive as closures from the caller; this module
 only integrates them. Every continuous engine is a rule n -> (nodes,
-weights), and one ladder refines it by node doublings until two successive
-levels agree within the configured tolerance, so a reported value carries
-its own stability check. Reductions run in a fixed index order, which keeps
-results bit-stable.
+weights), and one ladder refines it by node doublings, starting at
+``_NODES`` nodes and doubling at most ``_MAX_REFINEMENTS`` times. The
+stopping test is per entry: a value is accepted at the first doubling that
+moves it by |Δ| <= ``_TOL`` * max(1, |value|), an absolute test while
+|value| < 1 and a relative one above, so a reported value carries its own
+stability check. A discrete sum stops once its next term is at most
+``_TOL`` times the partial sum, or after ``_TAIL_TERMS`` points. These are
+module constants, so every caller integrates the same way. Reductions run
+in a fixed index order, which keeps results bit-stable.
 """
 
 import math
@@ -21,7 +26,6 @@ __all__ = [
     "LINE",
     "DISCRETE",
     "Measure",
-    "QuadratureConfig",
     "circle_contour",
     "interval",
     "vertical_line",
@@ -37,35 +41,13 @@ INTERVAL = "interval"
 LINE = "vertical_line"
 DISCRETE = "discrete"
 
+_NODES = 64
+_TAIL_TERMS = 60
+_TOL = 1e-10
+_MAX_REFINEMENTS = 10
+
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Engine knobs: initial resolution, truncation, tolerance, refinement.
-
-    The stopping test is per entry: a value is accepted at the first node
-    doubling where it moves by |Δ| <= tol * max(1, |value|). That is an
-    absolute test while |value| < 1 and a relative one above. A discrete
-    sum stops once its next term is at most tol times the partial sum, or
-    after ``tail_terms`` points.
-    """
-
-    nodes: int = 64
-    tail_terms: int = 60
-    tol: float = 1e-10
-    max_refinements: int = 10
-
-    def __post_init__(self):
-        if self.nodes < 8:
-            raise DomainError("need at least 8 quadrature nodes")
-        if self.tail_terms < 1:
-            raise DomainError("tail_terms must be positive")
-        if not 0 < self.tol < math.inf:
-            raise DomainError("tol must be positive and finite")
-        if self.max_refinements < 1:
-            raise DomainError("max_refinements must be positive")
 
 
 @dataclass(frozen=True)
@@ -176,27 +158,27 @@ def _level_gram(rule, n, left, right):
     return L @ _eval_rows(right, t).T
 
 
-def _ladder(m, left, right, cfg):
+def _ladder(m, left, right):
     """G[i, j] = integral of left[i](t) right[j](t) dα(t), by one ladder.
 
     Every level evaluates each member once and forms G = (L * w) @ R.T
-    from the rule's nodes and weights. An entry is frozen at the first
-    doubling that moves it by at most tol * max(1, |value|); later levels
-    evaluate only the rows and columns that still hold an open entry.
+    from the rule's nodes and weights. Once an entry passes the stopping
+    test it is frozen; later levels evaluate only the rows and columns
+    that still hold an open entry.
     """
     rule = _rule(m)
     G = np.zeros((len(left), len(right)), dtype=complex)
     open_ = np.ones(G.shape, dtype=bool)
     rows, cols = np.arange(len(left)), np.arange(len(right))
-    n = cfg.nodes
-    for level in range(cfg.max_refinements + 1):
+    n = _NODES
+    for level in range(_MAX_REFINEMENTS + 1):
         cur = _level_gram(rule, n, [left[i] for i in rows],
                           [right[j] for j in cols])
         block = np.ix_(rows, cols)
         prev, live = G[block], open_[block]
         G[block] = np.where(live, cur, prev)
         if level:
-            bound = cfg.tol * np.maximum(1.0, np.abs(cur))
+            bound = _TOL * np.maximum(1.0, np.abs(cur))
             open_[block] = live & ~(np.abs(cur - prev) <= bound)
             if not open_.any():
                 return G
@@ -206,7 +188,7 @@ def _ladder(m, left, right, cfg):
     entries = [tuple(int(k) for k in ij) for ij in np.argwhere(open_)]
     raise ConvergenceError(
         f"{m.variant} quadrature did not stabilize within "
-        f"{cfg.max_refinements} doublings; open entries (i, j): {entries}")
+        f"{_MAX_REFINEMENTS} doublings; open entries (i, j): {entries}")
 
 
 # -- the four engines: n -> (nodes, weights) ----------------------------------
@@ -290,9 +272,9 @@ def _rule(m):
     raise DomainError(f"unknown measure variant {m.variant!r}")
 
 
-def _discrete_sum(m, f, cfg):
+def _discrete_sum(m, f):
     partial = 0.0 + 0.0j
-    limit = min(len(m.points), cfg.tail_terms)
+    limit = min(len(m.points), _TAIL_TERMS)
     z, w = m.points[0]
     fz = complex(f(z))
     for k in range(limit):
@@ -304,7 +286,7 @@ def _discrete_sum(m, f, cfg):
             # the look-ahead value is the next term's, so f runs once a point
             fz = complex(f(z))
             nxt = abs(fz * complex(w))
-            if k >= 1 and nxt <= cfg.tol * max(abs(partial), 1e-300):
+            if k >= 1 and nxt <= _TOL * max(abs(partial), 1e-300):
                 break
     return partial
 
@@ -313,12 +295,11 @@ def _one(t):
     return np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
 
 
-def integrate(m, f, cfg=None):
-    """Integral of f against the measure, refined to the configured tol."""
-    cfg = cfg or QuadratureConfig()
+def integrate(m, f):
+    """Integral of f against the measure, refined to the stopping test."""
     if m.variant == DISCRETE:
-        return _discrete_sum(m, f, cfg)
-    return complex(_ladder(m, [f], [_one], cfg)[0, 0])
+        return _discrete_sum(m, f)
+    return complex(_ladder(m, [f], [_one])[0, 0])
 
 
 def _support_distance(m, z):
@@ -337,40 +318,32 @@ def _support_distance(m, z):
     return min(abs(z - complex(p[0])) for p in m.points)
 
 
-def stieltjes(m, z, cfg=None):
+def stieltjes(m, z):
     """The transform z -> integral of dα(t)/(z - t)."""
-    cfg = cfg or QuadratureConfig()
-    if _support_distance(m, z) <= cfg.tol:
+    if _support_distance(m, z) <= _TOL:
         raise SupportProximityError(
             f"z = {z} sits on or too close to the support")
-    return integrate(m, lambda t: 1.0 / (z - t), cfg)
+    return integrate(m, lambda t: 1.0 / (z - t))
 
 
-def normalization(m, cfg=None):
+def normalization(m):
     """Total mass of the measure."""
-    return integrate(m, _one, cfg)
+    return integrate(m, _one)
 
 
-def _family_get(fam, i):
-    try:
-        return fam[i]
-    except TypeError:
-        return fam(i)
+def weighted_gram(m, left, right, N):
+    """G[i][j] = integral of left(i)(t) right(j)(t) dα(t), 0 <= i, j < N.
 
-
-def weighted_gram(m, left, right, N, cfg=None):
-    """G[i][j] = integral of left_i(t) right_j(t) dα(t), 0 <= i, j < N.
-
-    Continuous measures run one refinement ladder for the whole matrix; a
-    discrete measure truncates each entry's sum on its own.
+    left and right map an index to a member closure, as BiorthFamily.left
+    and right do. Continuous measures run one refinement ladder for the
+    whole matrix; a discrete measure truncates each entry's sum on its own.
     """
-    cfg = cfg or QuadratureConfig()
-    ls = [_family_get(left, i) for i in range(N)]
-    rs = [_family_get(right, j) for j in range(N)]
+    ls = [left(i) for i in range(N)]
+    rs = [right(j) for j in range(N)]
     if m.variant != DISCRETE:
-        return _ladder(m, ls, rs, cfg)
+        return _ladder(m, ls, rs)
     G = np.empty((N, N), dtype=complex)
     for i, li in enumerate(ls):
         for j, rj in enumerate(rs):
-            G[i, j] = integrate(m, lambda t: li(t) * rj(t), cfg)
+            G[i, j] = integrate(m, lambda t: li(t) * rj(t))
     return G

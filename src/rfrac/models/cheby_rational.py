@@ -128,13 +128,13 @@ def partial_fractions(ctx, al, de, n, x):
     return total
 
 
-def elementary_mass(params, cfg=None):
+def elementary_mass(params):
     """Total mass of the weight against its rational closed form.
 
     Returns (lhs, rhs): the quadrature value and 1/(1 - alpha*delta).
     """
     q, al, de = _checked(params)
     m = interval(-1.0, 1.0, _weight(al, de), chebyshev_second_kind=True)
-    lhs = normalization(m, cfg)
+    lhs = normalization(m)
     rhs = 1.0 / (1.0 - al * de)
     return lhs, rhs

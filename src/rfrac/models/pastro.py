@@ -146,7 +146,7 @@ def build(params):
                      family=family, extras=extras)
 
 
-def transform_241(params, n, k, z, cfg=None):
+def transform_241(params, n, k, z):
     """Moment-type circle integral of t^(k-n) against the n-th polynomial.
 
     Returns (lhs, rhs): the contour integral computed by quadrature and its
@@ -171,7 +171,7 @@ def transform_241(params, n, k, z, cfg=None):
         return t ** (k - n) * poly(t) * weight(t)
 
     m = circle_contour(rq, kernel_density)
-    lhs = stieltjes(m, zc, cfg)
+    lhs = stieltjes(m, zc)
 
     if abs(zc) < rq:
         rhs = _inner_series(ctx, a, b, n, zc, k)

@@ -261,7 +261,7 @@ def rational_balanced_sum(ctx, al, be, de, n, x):
     return total
 
 
-def herglotz_511(params, cfg=None):
+def herglotz_511(params):
     """Total mass of the spectral weight against its closed evaluation.
 
     Returns (lhs, rhs): the angle integral computed by quadrature, and the
@@ -274,7 +274,7 @@ def herglotz_511(params, cfg=None):
             "max(|alpha|, |beta|, |delta|, |alpha beta^2 delta / q|) < 1")
     ctx = QContext(q)
     m = theta_interval(_spectral_theta(ctx, al, be, de))
-    lhs = normalization(m, cfg)
+    lhs = normalization(m)
     rhs = ((1.0 - p / q) / (1.0 - be)
            * basic_phi(ctx, (q, q / be), (q * be,), p / q).value)
     return lhs, rhs
@@ -289,7 +289,7 @@ def _beta_measure(ctx, al, be, de, top):
     return theta_interval(_angle_density(ctx, al, be, de, top, fconst))
 
 
-def qbeta_519(params, cfg=None):
+def qbeta_519(params):
     """Unit-mass beta integral; returns (lhs, rhs) with rhs the rational
     closed form."""
     q, al, be, de = checked_triple(params)
@@ -297,12 +297,12 @@ def qbeta_519(params, cfg=None):
             "max(|alpha|, |beta|, |delta|) < 1")
     ctx = QContext(q)
     m = _beta_measure(ctx, al, be, de, q * al * be)
-    lhs = normalization(m, cfg)
+    lhs = normalization(m)
     rhs = 1.0 / (1.0 - al * al * be)
     return lhs, rhs
 
 
-def qbeta_gamma(params, cfg=None):
+def qbeta_gamma(params):
     """One-parameter extension of the beta integral; gamma = q*beta
     collapses to the unit-mass case."""
     q, al, be, de = checked_triple(params)
@@ -311,7 +311,7 @@ def qbeta_gamma(params, cfg=None):
             "max(|alpha|, |beta|, |gamma|, |delta|) < 1")
     ctx = QContext(q)
     m = _beta_measure(ctx, al, be, de, al * ga)
-    lhs = normalization(m, cfg)
+    lhs = normalization(m)
     rhs = (multi_q_pochhammer(ctx, (ga, al * al * ga))
            / multi_q_pochhammer(ctx, (q * be, al * al * be))
            * basic_phi(ctx, (al * al * be, al * de, q * be / ga),

@@ -4,8 +4,10 @@ Shifted factorials, q-shifted factorials, classical and basic hypergeometric
 sums, the very well poised series, and a Lanczos gamma. Infinite products
 stop once the running factor is within ``_PRODUCT_EPS`` of 1; basic series
 stop once a geometric tail estimate falls below ``_SERIES_EPS`` relative to
-the partial sum. Both are module constants, so every caller truncates the
-same way; a QContext carries only the base q and the term cap.
+the partial sum, and raise DivergenceError after ``_MAX_TERMS`` terms;
+hyper_2f1 uses ``_HYPER_2F1_EPS`` and ``_HYPER_2F1_MAX_TERMS`` instead.
+These are module constants, so every caller truncates the same way; a
+QContext carries only the base q.
 """
 
 import cmath
@@ -22,10 +24,12 @@ INF = math.inf
 _TERMINATION_RTOL = 1e-10
 # A denominator factor this close to zero is treated as an exact pole.
 _POLE_ATOL = 1e-13
-# Truncation thresholds (see the module docstring); hyper_2f1 has its own.
+# Truncation thresholds and term caps (see the module docstring).
 _PRODUCT_EPS = 1e-16
 _SERIES_EPS = 1e-14
+_MAX_TERMS = 4000
 _HYPER_2F1_EPS = 1e-15
+_HYPER_2F1_MAX_TERMS = 10_000
 
 __all__ = [
     "INF",
@@ -43,16 +47,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QContext:
-    """Base q with the term cap shared by the basic series."""
+    """The base q of the products and basic series, checked |q| < 1."""
 
     q: complex
-    max_terms: int = 4000
 
     def __post_init__(self):
         if not abs(self.q) < 1.0:
             raise DomainError(f"need |q| < 1, got q = {self.q!r}")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -149,8 +150,8 @@ def _sum_terms(step, stop, eps, max_terms):
         f"series did not meet the tail criterion within {max_terms} terms")
 
 
-def _termination_index(ctx, params):
-    """Smallest m >= 0 with some parameter equal to q**(-m), else None.
+def _termination_index(ctx, params, max_terms):
+    """Smallest m <= max_terms with some parameter equal to q**(-m), else None.
 
     u q^m can only come near 1 where |u| |q|^m = 1, so each parameter has
     one candidate, m = round(log|u| / -log|q|).
@@ -165,7 +166,7 @@ def _termination_index(ctx, params):
             # |u q^m| <= |u| < 0.5 for every m, so it never reaches 1
             continue
         m = max(0, round(math.log(r) / neg_log_q)) if math.isfinite(r) else 0
-        if m > (ctx.max_terms if best is None else best):
+        if m > (max_terms if best is None else best):
             continue
         w = w * q**m
         if abs(w - 1.0) <= _TERMINATION_RTOL * max(1.0, abs(w)):
@@ -179,7 +180,7 @@ def _check_denominator(f, what):
     return f
 
 
-def hyper_2f1(a, b, c, z, max_terms=10_000):
+def hyper_2f1(a, b, c, z):
     """Gauss 2F1 by direct summation; terminating cases are summed exactly."""
     stop = None
     for p in (a, b):
@@ -192,7 +193,7 @@ def hyper_2f1(a, b, c, z, max_terms=10_000):
         den = _check_denominator((c + n) * (n + 1.0), "hyper_2f1")
         return (a + n) * (b + n) / den * zc
 
-    return _sum_terms(step, stop, _HYPER_2F1_EPS, max_terms)
+    return _sum_terms(step, stop, _HYPER_2F1_EPS, _HYPER_2F1_MAX_TERMS)
 
 
 def _nonpositive_integer(p):
@@ -213,7 +214,7 @@ def basic_phi(ctx, upper, lower, z):
     """
     q = ctx.q
     extra = 1 + len(lower) - len(upper)
-    stop = _termination_index(ctx, upper)
+    stop = _termination_index(ctx, upper, _MAX_TERMS)
     zc = complex(z)
 
     def step(n):
@@ -228,7 +229,7 @@ def basic_phi(ctx, upper, lower, z):
             fac *= (-(q**n)) ** extra
         return fac
 
-    return _sum_terms(step, stop, _SERIES_EPS, ctx.max_terms)
+    return _sum_terms(step, stop, _SERIES_EPS, _MAX_TERMS)
 
 
 def w87(ctx, a, b, c, d, e, f, z):
@@ -243,7 +244,7 @@ def w87(ctx, a, b, c, d, e, f, z):
         raise DomainError("w87 is indeterminate at a = 1")
     params = (a, b, c, d, e, f)
     denoms = (a * q / b, a * q / c, a * q / d, a * q / e, a * q / f)
-    stop = _termination_index(ctx, params)
+    stop = _termination_index(ctx, params, _MAX_TERMS)
     zc = complex(z)
 
     def step(n):
@@ -255,7 +256,7 @@ def w87(ctx, a, b, c, d, e, f, z):
             den *= _check_denominator(1.0 - dn * q**n, "w87")
         return num / den * zc
 
-    return _sum_terms(step, stop, _SERIES_EPS, ctx.max_terms)
+    return _sum_terms(step, stop, _SERIES_EPS, _MAX_TERMS)
 
 
 _LANCZOS_G = 7.0

@@ -21,6 +21,8 @@ R_II = "R_II"
 
 # z counts as sitting on an interpolation point within this relative distance
 _COLLISION_RTOL = 1e-13
+# minimal_solution_backward's stopping tolerance (see its docstring)
+_BACKWARD_TOL = 1e-11
 
 __all__ = [
     "R_I",
@@ -232,12 +234,11 @@ def _backward_pass(spec, z, window, start):
     return vals, ratio
 
 
-def minimal_solution_backward(spec, z, window, start=40, tol=1e-11,
-                              max_start=1280):
+def minimal_solution_backward(spec, z, window, start=40, max_start=1280):
     """Minimal-solution estimate by backward recurrence with start doubling.
 
     The start index doubles (start, 2 start, ...) until ratio_at_0 agrees
-    between two successive sweeps within tol, relative to the newer value.
+    between two successive sweeps within _BACKWARD_TOL * max(1, |newer|).
     """
     if window < 1:
         raise DomainError("window must be at least 1")
@@ -247,7 +248,7 @@ def minimal_solution_backward(spec, z, window, start=40, tol=1e-11,
     while s <= max_start:
         vals, ratio = _backward_pass(spec, zc, window, s)
         if prev_ratio is not None:
-            if abs(ratio - prev_ratio) <= tol * max(1.0, abs(ratio)):
+            if abs(ratio - prev_ratio) <= _BACKWARD_TOL * max(1.0, abs(ratio)):
                 res = _window_residual(spec, zc, vals)
                 return MinimalSolutionEstimate(
                     values=vals, ratio_at_0=ratio, residual=res, start=s)

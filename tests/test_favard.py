@@ -217,9 +217,68 @@ def test_rii_coincident_pair_double_pole():
         (1.0 - 0.7) / (3.0 - c1) ** 2, rel=1e-13)
     assert functional_apply(fn, ("inverse_prefix", 1, 0)) == pytest.approx(
         (0.7 - 1.0) / (3.0 - c1), rel=1e-13)
-    for deep in (("inverse_prefix", 2, 1), ("inverse_prefix", 2, 2)):
-        with pytest.raises(OutOfSpanError):
-            functional_apply(fn, deep)
+    mu = coincident_moments(spec, 3.0, N0=1.0, N1=0.7)
+    for j, k in ((1, 0), (1, 1), (2, 1), (2, 2)):
+        got = functional_apply(fn, ("inverse_prefix", j, k))
+        assert got == pytest.approx(mu[j + k], rel=1e-13), (j, k)
+
+
+def coincident_moments(spec, pole, N0, N1):
+    """mu_m = L[(x - pole)^(-m)], m = 0..4, when every a_k = b_k = pole.
+
+    Then S_n = P_n (x - pole)^(-2n), so each relation L[x^k S_n] = value is
+    linear in the mu_m: written in powers of u = x - pole, x^k P_n becomes
+    sum_i c_i u^i and L[x^k S_n] = sum_i c_i mu_{2n-i}. The five relations
+    L[1] = N_0, L[S_1] = 0, L[x S_1] = N_1, L[S_2] = L[x S_2] = 0 fix
+    mu_0..mu_4 without the rule.
+    """
+    x = np.polynomial.Polynomial([pole, 1.0])
+    relations = ((0, 0, N0), (1, 0, 0.0), (1, 1, N1), (2, 0, 0.0), (2, 1, 0.0))
+    mat = np.zeros((5, 5), dtype=complex)
+    rhs = np.zeros(5, dtype=complex)
+    for row, (n, k, value) in enumerate(relations):
+        pn = np.polynomial.Polynomial(poly_desc(spec, n)[::-1])
+        for i, c in enumerate((x ** k * pn(x)).coef):
+            mat[row, 2 * n - i] += c
+        rhs[row] = value
+    return np.linalg.solve(mat, rhs)
+
+
+def test_depth_past_the_cap_is_refused_at_once():
+    ri = build_RI(synthetic_ri_spec())
+    rii = build_RII(synthetic_rii_spec(), N0=1.0, N1=0.4)
+    for fn, key in ((ri, ("power", 2**70)), (ri, ("inverse_prefix", 21)),
+                    (rii, ("inverse_prefix", 3, 21))):
+        with pytest.raises(OutOfSpanError, match="cap of 20"):
+            functional_apply(fn, key)
+        assert not fn._rules
+    assert np.isfinite(functional_apply(rii, ("inverse_prefix", 20, 3)))
+
+
+def _span(kind, depth):
+    if kind == R_I:
+        return ([("power", k) for k in range(depth + 1)]
+                + [("inverse_prefix", j) for j in range(depth + 1)])
+    return [("inverse_prefix", j, k)
+            for j in range(depth + 1) for k in range(depth + 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), kind=st.sampled_from([R_I, R_II]))
+def test_values_do_not_depend_on_request_order(data, kind):
+    # every value comes from its own depth + 1 point rule, so a functional
+    # asked in any order repeats, bit for bit, one asked in table order
+    def fresh():
+        if kind == R_I:
+            return build_RI(synthetic_ri_spec())
+        return build_RII(synthetic_rii_spec(), N0=1.0, N1=0.4)
+
+    descs = _span(kind, 8)
+    order = data.draw(st.permutations(descs))
+    ref, fn = fresh(), fresh()
+    want = {d: functional_apply(ref, d) for d in descs}
+    got = {d: functional_apply(fn, d) for d in order}
+    assert got == want
 
 
 # -- consistency against orthogonality relations never used to build -------

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfrac import measures
 from rfrac.errors import ConvergenceError, DomainError, SupportProximityError
 from rfrac.measures import (
     Measure,
-    QuadratureConfig,
     circle_contour,
     discrete,
     integrate,
@@ -63,7 +63,7 @@ def test_circle_contour_deformation_invariance():
     assert abs(inner - 1.0) < 1e-9
 
 
-def test_second_kind_weight_poisson_product():
+def test_second_kind_weight_poisson_product(monkeypatch):
     m = chebyshev_unit_mass()
     al, de = 0.5, 0.25
 
@@ -75,7 +75,8 @@ def test_second_kind_weight_poisson_product():
     assert abs(val - 1.0 / (1.0 - al * de)) < 1e-10
     # doubling stability: a different starting resolution lands on the
     # same answer
-    again = integrate(m, f, QuadratureConfig(nodes=96))
+    monkeypatch.setattr(measures, "_NODES", 96)
+    again = integrate(m, f)
     assert abs(val - again) < 2e-10
 
 
@@ -108,7 +109,7 @@ def test_gram_of_second_kind_chebyshev_family():
         return val
 
     fam = [u(n) for n in range(3)]
-    G = weighted_gram(m, fam, fam, 3)
+    G = weighted_gram(m, fam.__getitem__, fam.__getitem__, 3)
     assert np.max(np.abs(G - np.eye(3))) < 1e-11
 
 
@@ -128,10 +129,11 @@ def test_halfline_transform_closed_form():
     assert abs(val - 1.0 / 3.0) < 1e-8
 
 
-def test_discrete_geometric_masses_sum_to_one():
+def test_discrete_geometric_masses_sum_to_one(monkeypatch):
     pts = [(0.5 ** k, 0.5 ** (k + 1)) for k in range(200)]
-    # truncation error tracks cfg.tol, so tighten it for this check
-    val = normalization(discrete(pts), QuadratureConfig(tol=1e-13))
+    # truncation error tracks the tolerance, so tighten it for this check
+    monkeypatch.setattr(measures, "_TOL", 1e-13)
+    val = normalization(discrete(pts))
     assert abs(val - 1.0) < 1e-12
 
 
@@ -140,10 +142,10 @@ def test_discrete_single_mass_transform():
     assert stieltjes(m, 2.0) == 0.5
 
 
-def test_discrete_tail_cap_is_normal_termination():
+def test_discrete_tail_cap_is_normal_termination(monkeypatch):
     pts = [(float(k), 1.0 / (k + 1)) for k in range(100)]
-    cfg = QuadratureConfig(tail_terms=10)
-    val = integrate(discrete(pts), lambda z: 1.0, cfg)
+    monkeypatch.setattr(measures, "_TAIL_TERMS", 10)
+    val = integrate(discrete(pts), lambda z: 1.0)
     expected = sum(1.0 / (k + 1) for k in range(10))
     assert abs(val - expected) < 1e-14
 
@@ -156,17 +158,24 @@ def test_line_cauchy_density_mass_and_transform():
     assert abs(val - 2.0 / 7.0) < 1e-9
 
 
-def test_line_nonintegrable_density_fails_loudly():
+def test_line_nonintegrable_density_fails_loudly(monkeypatch):
     m = vertical_line(0.0, lambda y: 1.0 / (1.0 + np.abs(y)))
+    monkeypatch.setattr(measures, "_MAX_REFINEMENTS", 3)
     with pytest.raises(ConvergenceError):
-        normalization(m, QuadratureConfig(max_refinements=3))
+        normalization(m)
 
 
-def test_unresolvable_oscillation_fails_loudly():
+def coarse_ladder(monkeypatch):
+    """Two levels, from 8 nodes."""
+    monkeypatch.setattr(measures, "_NODES", 8)
+    monkeypatch.setattr(measures, "_MAX_REFINEMENTS", 1)
+
+
+def test_unresolvable_oscillation_fails_loudly(monkeypatch):
     m = unit_circle_cauchy()
+    coarse_ladder(monkeypatch)
     with pytest.raises(ConvergenceError):
-        integrate(m, lambda t: np.exp(40.0 / t),
-                  QuadratureConfig(nodes=8, max_refinements=1))
+        integrate(m, lambda t: np.exp(40.0 / t))
 
 
 def test_transform_decay_recovers_total_mass():
@@ -194,18 +203,6 @@ def test_support_proximity_guard():
     for m, z in cases:
         with pytest.raises(SupportProximityError):
             stieltjes(m, z)
-
-
-def test_config_validation():
-    for bad in (
-        dict(nodes=4),
-        dict(tail_terms=0),
-        dict(tol=0.0),
-        dict(tol=math.inf),
-        dict(max_refinements=0),
-    ):
-        with pytest.raises(DomainError):
-            QuadratureConfig(**bad)
 
 
 def test_measure_validation():
@@ -240,10 +237,10 @@ def test_scalar_only_closure_integrates_to_closed_value():
     assert abs(val - 2.0 * (c - math.sqrt(c * c - 1.0))) < 1e-12
 
 
-def _discrete_sum_reference(points, f, cfg):
+def _discrete_sum_reference(points, f, tail_terms, tol):
     """The look-ahead loop that evaluates f twice a point."""
     partial = 0.0 + 0.0j
-    limit = min(len(points), cfg.tail_terms)
+    limit = min(len(points), tail_terms)
     for k in range(limit):
         z, w = points[k]
         partial += complex(f(z)) * complex(w)
@@ -252,12 +249,12 @@ def _discrete_sum_reference(points, f, cfg):
             if wn == 0.0:
                 break
             nxt = abs(complex(f(zn)) * complex(wn))
-            if k >= 1 and nxt <= cfg.tol * max(abs(partial), 1e-300):
+            if k >= 1 and nxt <= tol * max(abs(partial), 1e-300):
                 break
     return partial
 
 
-def test_discrete_sum_evaluates_each_point_once():
+def test_discrete_sum_evaluates_each_point_once(monkeypatch):
     pts = [(float(k), 0.5 ** k * (1.0 + 0.1j) ** k) for k in range(100)]
     pts[70] = (70.0, 0.0)
 
@@ -265,18 +262,19 @@ def test_discrete_sum_evaluates_each_point_once():
         return 1.0 / (1.0 + 0.3j * z)
 
     # a tail cap, the tolerance stop and the zero-mass stop
-    for cfg in (QuadratureConfig(tail_terms=10, tol=1e-300),
-                QuadratureConfig(),
-                QuadratureConfig(tail_terms=100, tol=1e-30)):
+    defaults = (measures._TAIL_TERMS, measures._TOL)
+    for tail_terms, tol in ((10, 1e-300), defaults, (100, 1e-30)):
+        monkeypatch.setattr(measures, "_TAIL_TERMS", tail_terms)
+        monkeypatch.setattr(measures, "_TOL", tol)
         calls = []
 
         def counted(z):
             calls.append(z)
             return f(z)
 
-        val = integrate(discrete(pts), counted, cfg)
-        assert val == _discrete_sum_reference(pts, f, cfg)
-        assert len(calls) <= min(len(pts), cfg.tail_terms) + 1
+        val = integrate(discrete(pts), counted)
+        assert val == _discrete_sum_reference(pts, f, tail_terms, tol)
+        assert len(calls) <= min(len(pts), tail_terms) + 1
         assert len(set(calls)) == len(calls)
 
 
@@ -300,7 +298,8 @@ def test_gram_ladder_matches_per_entry_integrals():
     left = [lambda x: np.abs(x) ** 3] + _poisson_rows((0.5, 0.8, 0.9, 0.95))
     right = [lambda x, k=k: x ** k for k in range(5)]
     calls = {k: [] for k in range(5)}
-    G = weighted_gram(m, _counted(left, calls), right, 5)
+    counted = _counted(left, calls)
+    G = weighted_gram(m, counted.__getitem__, right.__getitem__, 5)
     ref = np.array([[integrate(m, lambda x: li(x) * rj(x)) for rj in right]
                     for li in left])
     assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(G))
@@ -314,19 +313,19 @@ def test_gram_ladder_evaluates_each_member_once_per_level():
     rcalls = {k: [] for k in range(4)}
     left = _counted(_poisson_rows((0.2, 0.6, 0.9, 0.95)), lcalls)
     right = _counted([lambda x, k=k: x ** k for k in range(4)], rcalls)
-    weighted_gram(m, left, right, 4)
+    weighted_gram(m, left.__getitem__, right.__getitem__, 4)
     for calls in (*lcalls.values(), *rcalls.values()):
         # one call a level, and the levels double the node count
         assert calls == [64 * 2 ** k for k in range(len(calls))]
 
 
-def test_gram_ladder_fails_loudly_and_names_open_entries():
+def test_gram_ladder_fails_loudly_and_names_open_entries(monkeypatch):
     m = unit_circle_cauchy()
     left = [lambda t: np.ones_like(t), lambda t: np.exp(40.0 / t)]
     right = [lambda t: np.ones_like(t), lambda t: t]
+    coarse_ladder(monkeypatch)
     with pytest.raises(ConvergenceError, match=r"\(1, 0\)") as info:
-        weighted_gram(m, left, right, 2,
-                      QuadratureConfig(nodes=8, max_refinements=1))
+        weighted_gram(m, left.__getitem__, right.__getitem__, 2)
     # a kept exception must not pin the node arrays through its traceback
     tb = info.value.__traceback__
     while tb is not None:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfrac import qseries
 from rfrac.errors import DivergenceError, DomainError, PoleError
 from rfrac.qseries import (
     _SERIES_EPS,
@@ -32,11 +33,6 @@ def test_qcontext_rejects_base_outside_unit_disk():
             QContext(q=q)
     QContext(q=0.99)
     QContext(q=0.3 + 0.4j)
-
-
-def test_qcontext_rejects_bad_tolerances():
-    with pytest.raises(DomainError):
-        QContext(q=0.5, max_terms=0)
 
 
 def test_shifted_factorial_small_cases():
@@ -93,12 +89,12 @@ def test_multi_q_pochhammer():
     assert multi_q_pochhammer(CTX, [0.3, 0.4], 2) == pytest.approx(want, rel=1e-15)
 
 
-def _termination_index_walk(ctx, params):
+def _termination_index_walk(ctx, params, max_terms):
     """Reference: walk m = 0, 1, ... for every parameter."""
     best = None
     for u in params:
         w = complex(u)
-        limit = ctx.max_terms if best is None else best
+        limit = max_terms if best is None else best
         for m in range(limit + 1):
             if abs(w - 1.0) <= _TERMINATION_RTOL * max(1.0, abs(w)):
                 best = m
@@ -127,25 +123,25 @@ _OUTSIDE = st.floats(2.0 * _TERMINATION_RTOL, 0.3)
 )
 def test_termination_index_matches_walk(r, phase, max_terms, draws, small):
     q = r * complex(math.cos(phase), math.sin(phase))
-    ctx = QContext(q=q, max_terms=max_terms)
+    ctx = QContext(q=q)
     params = [small * q]
     for m, delta, arg in draws:
         if m * -math.log(r) > 600.0:
             continue
         spin = complex(math.cos(arg), math.sin(arg))
         params.append(q ** (-m) * (1.0 + delta * spin))
-    want = _termination_index_walk(ctx, params)
-    assert _termination_index(ctx, params) == want
+    want = _termination_index_walk(ctx, params, max_terms)
+    assert _termination_index(ctx, params, max_terms) == want
 
 
 def test_termination_index_edge_parameters():
-    ctx = QContext(q=0.5, max_terms=30)
-    assert _termination_index(ctx, [0.0, 0.3]) is None
-    assert _termination_index(ctx, [1.0]) == 0
-    assert _termination_index(ctx, [2.0 ** 30]) == 30
-    assert _termination_index(ctx, [2.0 ** 31]) is None
-    assert _termination_index(ctx, [2.0 ** 7, 2.0 ** 3]) == 3
-    assert _termination_index(QContext(q=0.0), [1.0, 2.0]) == 0
+    ctx = QContext(q=0.5)
+    assert _termination_index(ctx, [0.0, 0.3], 30) is None
+    assert _termination_index(ctx, [1.0], 30) == 0
+    assert _termination_index(ctx, [2.0 ** 30], 30) == 30
+    assert _termination_index(ctx, [2.0 ** 31], 30) is None
+    assert _termination_index(ctx, [2.0 ** 7, 2.0 ** 3], 30) == 3
+    assert _termination_index(QContext(q=0.0), [1.0, 2.0], 30) == 0
 
 
 def test_hyper_2f1_binomial_case():
@@ -178,11 +174,12 @@ def test_hyper_2f1_reference_point():
     assert res.value == pytest.approx(1.02837326799187824616666, rel=1e-12)
 
 
-def test_hyper_2f1_pole_and_divergence():
+def test_hyper_2f1_pole_and_divergence(monkeypatch):
     with pytest.raises(PoleError):
         hyper_2f1(0.5, 0.7, -2.0, 0.3)
+    monkeypatch.setattr(qseries, "_HYPER_2F1_MAX_TERMS", 300)
     with pytest.raises(DivergenceError):
-        hyper_2f1(0.5, 0.7, 1.3, 1.5, max_terms=300)
+        hyper_2f1(0.5, 0.7, 1.3, 1.5)
 
 
 def test_basic_phi_zero_argument():
@@ -215,12 +212,12 @@ def test_basic_phi_q_gauss_sum():
     assert res.tail_bound <= _SERIES_EPS * max(1.0, abs(res.value))
 
 
-def test_basic_phi_pole_and_divergence():
+def test_basic_phi_pole_and_divergence(monkeypatch):
     with pytest.raises(PoleError):
         basic_phi(CTX, [0.3, 0.4], [2.0], 0.5)
-    small = QContext(q=0.5, max_terms=200)
+    monkeypatch.setattr(qseries, "_MAX_TERMS", 200)
     with pytest.raises(DivergenceError):
-        basic_phi(small, [0.3, 0.4], [0.5], 1.3)
+        basic_phi(CTX, [0.3, 0.4], [0.5], 1.3)
 
 
 def test_w87_zero_argument():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rfrac import recurrence
 from rfrac.errors import CollisionError, ConvergenceError, DomainError
 from rfrac.recurrence import (
     R_I,
@@ -255,12 +256,13 @@ def test_minimal_solution_backward_collision():
         minimal_solution_backward(spec, 1.0, window=5)
 
 
-def test_minimal_solution_backward_nonconvergence():
+def test_minimal_solution_backward_nonconvergence(monkeypatch):
     # on the boundary circle between the two solution growth rates the
     # backward sweep has no reason to stabilize
     spec = cheb_spec(1.0, 4.0)
+    monkeypatch.setattr(recurrence, "_BACKWARD_TOL", 1e-13)
     with pytest.raises((ConvergenceError, CollisionError)):
-        minimal_solution_backward(spec, -0.5, window=5, tol=1e-13, max_start=160)
+        minimal_solution_backward(spec, -0.5, window=5, max_start=160)
 
 
 def test_pincherle_residual():
