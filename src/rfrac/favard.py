@@ -16,7 +16,8 @@ it as one.
 Normalization: a kind R_I functional has L[1] = lambda_1, or 1 when
 lambda_1 = 0; a kind R_II functional has L[1] = N_0 and L[x S_1] = N_1,
 both given by the caller. Powers and prefixes are read off rules of at
-most ``_MAX_DEPTH`` + 1 points.
+most ``_MAX_DEPTH`` + 1 points, and no descriptor index may pass
+``_MAX_DEPTH``.
 """
 
 from numbers import Integral
@@ -290,7 +291,8 @@ def functional_apply(fn, basis):
     and N_0 - N_1 for kind R_II; every depth-0 descriptor is L[1].
     The factor N_0 - N_1 holds because evaluation at infinity meets every
     two-point relation with N_n = lead(P_n), and vanishes on every prefix
-    of depth >= 1. A malformed descriptor, a depth past _MAX_DEPTH, a
+    of depth >= 1. A malformed descriptor, an index past _MAX_DEPTH (the
+    norm descriptors' n included, so no norm recursion runs that far), a
     singular rule, a node on one of the rule's points a_k or b_k, or a
     value outside the span raises OutOfSpanError.
     """
@@ -318,18 +320,18 @@ def _check_descriptor(fn, key):
 
 def _apply(fn, key):
     tag, idx = key[0], key[1:]
+    depth = max(idx)
+    if depth > _MAX_DEPTH:
+        raise OutOfSpanError(
+            f"{key!r} has depth {depth}, past the cap of {_MAX_DEPTH}")
     if tag in ("power_times_R", "power_times_S"):
         k, n = idx
         if k > n:
             raise OutOfSpanError(
                 f"x^{k} times the degree-{n} rational is outside the span")
         return fn.norm(n) if k == n else 0.0 + 0.0j
-    depth = max(idx)
     if depth == 0:
         return fn.norm(0)
-    if depth > _MAX_DEPTH:
-        raise OutOfSpanError(
-            f"{key!r} has depth {depth}, past the cap of {_MAX_DEPTH}")
     scale = fn.norm(0) if fn.kind == R_I else fn.norm(0) - fn.norm(1)
     r = fn.rule(depth)
     with np.errstate(all="ignore"):   # overflow shows up as inf

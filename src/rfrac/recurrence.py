@@ -9,8 +9,13 @@ lambda_n (z - a_n)(z - b_n) for kind R_II. First kind starts (P_-1, P_0) =
 (0, 1), second kind (Q_0, Q_1) = (0, 1). Everything downstream (convergents,
 rationalized sequences, backward minimal-solution estimates, Pincherle
 residuals) is built from that single shape.
+
+The backward sweeps start from the limit-periodic tail root, and a tie
+of the tail roots (z on the support) raises ConvergenceError; see
+_backward_pass.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -111,13 +116,18 @@ class MinimalSolutionEstimate:
     X_0 / (lambda_1 (z - a_1) [(z - b_1)] X_{-1}), evaluated through the
     recurrence identity lambda_1 (...) X_{-1} = (z - c_1) X_0 - X_1 so a
     vanishing lambda_1 never has to be divided by. residual is the largest
-    relative recurrence defect over the window.
+    relative recurrence defect over the window. rate is |rho_small /
+    rho_big| of the tail roots at the returned start: the factor by which
+    the sweep damps the dominant solution per step. It is small far from
+    the support, and near 1 where z approaches it and the sweep needs
+    long starts.
     """
 
     values: list
     ratio_at_0: complex
     residual: float
     start: int
+    rate: float
 
 
 def forward(spec, z, N):
@@ -191,28 +201,60 @@ def convergents(spec, z, N):
     return out
 
 
-def _backward_pass(spec, z, window, start):
-    """One Miller sweep from (X_{start+1}, X_start) = (0, 1) down to n = 0.
+def _sweep_numerator(spec, n, z):
+    """w_n(z) for the backward sweep, which divides by it."""
+    w = spec.partial_numerator(n, z)
+    if w == 0.0:
+        raise CollisionError(
+            f"partial numerator vanishes at level {n}; z sits on an "
+            "interpolation point")
+    if not cmath.isfinite(w):
+        raise ConvergenceError(
+            f"coefficient overflow at level {n}; lower the start index")
+    return w
 
-    Returns (values X_0..X_window scaled to X_0 = 1, ratio_at_0). The sweep
-    rescales by powers of two when it leaves a safe magnitude band; stored
-    window values are rescaled along with it, so ratios are untouched.
+
+def _tail_root(spec, z, n):
+    """(rho, rate) for the frozen tail t^2 - (z - c_n) t + w_n(z) = 0.
+
+    rho is the smaller-modulus root, the minimal ratio X_n / X_{n-1} of the
+    recurrence with its coefficients frozen at level n, and rate is
+    |rho_small / rho_big|. The quadratic is scaled so that (z - c_n)^2
+    cannot overflow, and the smaller root is w_n / big, so it does not
+    cancel. Roots tied in modulus (relative gap <= _BACKWARD_TOL) put z on
+    the support, where no solution is minimal: ConvergenceError.
+    """
+    w = _sweep_numerator(spec, n, z)
+    s = z - spec.c(n)
+    m = max(abs(s), 2.0 * math.sqrt(abs(w)))
+    s1, w1 = s / m, w / m / m
+    d = cmath.sqrt(s1 * s1 - 4.0 * w1)
+    big = (s1 + d if abs(s1 + d) >= abs(s1 - d) else s1 - d) / 2.0
+    rate = abs(w1 / big) / abs(big)
+    if 1.0 - rate <= _BACKWARD_TOL:
+        raise ConvergenceError(
+            f"the tail roots at level {n} tie in modulus; z is on the support")
+    return w / (big * m), rate
+
+
+def _backward_pass(spec, z, window, start):
+    """One Miller sweep from (X_{start+1}, X_start) = (rho, 1) down to n = 0.
+
+    rho is _tail_root at level start + 1: the sweep starts on the minimal
+    solution of the recurrence frozen there, which every model's
+    limit-periodic coefficients approach. Returns (values X_0..X_window
+    scaled to X_0 = 1, ratio_at_0, rate). The sweep rescales by powers of
+    two when it leaves a safe magnitude band; stored window values are
+    rescaled along with it, so ratios are untouched.
     """
     if start <= window:
         raise DomainError("start must exceed the reporting window")
     zc = complex(z)
-    hi = 0.0 + 0.0j   # X_{n}
-    lo = 1.0 + 0.0j   # X_{n-1}
+    hi, rate = _tail_root(spec, zc, start + 1)   # X_{n}
+    lo = 1.0 + 0.0j                              # X_{n-1}
     store = {}
     for n in range(start + 1, 1, -1):
-        w = spec.partial_numerator(n, zc)
-        if w == 0.0:
-            raise CollisionError(
-                f"partial numerator vanishes at level {n}; z sits on an "
-                "interpolation point")
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-            raise ConvergenceError(
-                f"coefficient overflow at level {n}; lower the start index")
+        w = _sweep_numerator(spec, n, zc)
         nxt = ((zc - spec.c(n)) * lo - hi) / w   # X_{n-2}
         hi, lo = lo, nxt
         mag = max(abs(hi), abs(lo))
@@ -231,14 +273,18 @@ def _backward_pass(spec, z, window, start):
     denom = (zc - spec.c(1)) * x0 - x1
     ratio = x0 / denom if denom != 0.0 else complex(math.inf, 0.0)
     vals = [store[m] / x0 for m in range(window + 1)]
-    return vals, ratio
+    return vals, ratio, rate
 
 
 def minimal_solution_backward(spec, z, window, start=40, max_start=1280):
     """Minimal-solution estimate by backward recurrence with start doubling.
 
-    The start index doubles (start, 2 start, ...) until ratio_at_0 agrees
-    between two successive sweeps within _BACKWARD_TOL * max(1, |newer|).
+    Each sweep is seeded with the tail root of its start level (see
+    _backward_pass). The start index doubles (start, 2 start, ...) until
+    ratio_at_0 agrees between two successive sweeps within
+    _BACKWARD_TOL * max(1, |newer|). A z where the tail roots tie in
+    modulus lies on the support and raises ConvergenceError, as does a
+    sweep that has not settled by max_start.
     """
     if window < 1:
         raise DomainError("window must be at least 1")
@@ -246,12 +292,13 @@ def minimal_solution_backward(spec, z, window, start=40, max_start=1280):
     prev_ratio = None
     s = start
     while s <= max_start:
-        vals, ratio = _backward_pass(spec, zc, window, s)
+        vals, ratio, rate = _backward_pass(spec, zc, window, s)
         if prev_ratio is not None:
             if abs(ratio - prev_ratio) <= _BACKWARD_TOL * max(1.0, abs(ratio)):
                 res = _window_residual(spec, zc, vals)
                 return MinimalSolutionEstimate(
-                    values=vals, ratio_at_0=ratio, residual=res, start=s)
+                    values=vals, ratio_at_0=ratio, residual=res, start=s,
+                    rate=rate)
         prev_ratio = ratio
         s *= 2
     raise ConvergenceError(

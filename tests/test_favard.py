@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from rfrac.errors import ConvergenceError, DomainError, OutOfSpanError
@@ -255,6 +255,20 @@ def test_depth_past_the_cap_is_refused_at_once():
     assert np.isfinite(functional_apply(rii, ("inverse_prefix", 20, 3)))
 
 
+def test_norm_descriptor_past_the_cap_is_refused_at_once():
+    # the norm recursion behind L[x^n R_n] and L[x^n S_n] would otherwise
+    # run up to n
+    ri = build_RI(synthetic_ri_spec())
+    rii = build_RII(synthetic_rii_spec(), N0=1.0, N1=0.4)
+    for fn, key in ((ri, ("power_times_R", 2**70, 2**70)),
+                    (rii, ("power_times_S", 2**70, 2**70)),
+                    (rii, ("power_times_S", 0, 21))):
+        with pytest.raises(OutOfSpanError, match="cap of 20"):
+            functional_apply(fn, key)
+    assert len(ri.norms) == 1 and len(rii.norms) == 2
+    assert functional_apply(rii, ("power_times_S", 20, 20)) == rii.norm(20)
+
+
 def _span(kind, depth):
     if kind == R_I:
         return ([("power", k) for k in range(depth + 1)]
@@ -263,7 +277,6 @@ def _span(kind, depth):
             for j in range(depth + 1) for k in range(depth + 1)]
 
 
-@settings(max_examples=25, deadline=None)
 @given(data=st.data(), kind=st.sampled_from([R_I, R_II]))
 def test_values_do_not_depend_on_request_order(data, kind):
     # every value comes from its own depth + 1 point rule, so a functional
@@ -435,7 +448,6 @@ def test_kappa_rejects_bad_jmax():
 # -- linearity --------------------------------------------------------------
 
 
-@settings(max_examples=40, deadline=None)
 @given(
     c1=st.complex_numbers(max_magnitude=5.0, allow_nan=False,
                           allow_infinity=False),

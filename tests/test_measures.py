@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from rfrac import measures
@@ -80,7 +80,6 @@ def test_second_kind_weight_poisson_product(monkeypatch):
     assert abs(val - again) < 2e-10
 
 
-@settings(max_examples=40, deadline=None)
 @given(
     st.floats(min_value=-0.8, max_value=0.8),
     st.floats(min_value=-0.8, max_value=0.8),

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import rfrac.models.base as base
-from rfrac.errors import BranchBoundaryError, DomainError, OutOfSpanError
+from rfrac.errors import (BranchBoundaryError, ConvergenceError, DomainError,
+                          OutOfSpanError)
 from rfrac.models import (
     MODEL_NAMES,
     biorth,
@@ -173,6 +174,60 @@ def test_backward_estimate_agrees_with_closed_branch(name):
         est = minimal_solution_backward(m.spec, z, window=6)
         cf = m.cf_value(z)
         assert abs(est.ratio_at_0 - cf) < 1e-8 * abs(cf), (name, z)
+
+
+# points NEAR_DIST from the support or the branch line at the PARAMS above:
+# the circle |z| = sqrt(q), the half-line (-inf, 0], the line Re z = 1/2,
+# the segment [-1, 1], and for SinhLattice42 its first grid points
+NEAR_DIST = 1e-2
+
+
+def _near_points(name):
+    d = NEAR_DIST
+    if name in ("Pastro21", "UnitCircle41"):
+        r = math.sqrt(PARAMS[name]["q"])
+        return [(r + s * d) * cmath.exp(1j * t)
+                for s in (1, -1) for t in (0.0, 2.0, -2.9)]
+    if name == "ChebyshevR2_31":
+        return [complex(x, s * d) for x in (-0.3, -2.7) for s in (1, -1)]
+    if name == "Cauchy2F1_32":
+        return [complex(0.5 + s * d, y) for s in (1, -1) for y in (0.1, -0.4)]
+    if name == "SinhLattice42":
+        grid = build(name).measure.points[:3]
+        return [complex(p[0]) + d * cmath.exp(0.4j) for p in grid]
+    return [complex(x, s * d) for x in (-0.6, 0.8) for s in (1, -1)]
+
+
+NEAR = [pytest.param(name, z, id=f"{name}-{k}") for name in MODEL_NAMES
+        for k, z in enumerate(_near_points(name))]
+# Cauchy2F1_32 is limit-parabolic (lambda_n -> 1/4): the tail roots meet as
+# n grows, and higher on the line the sweep does not settle by start 1280
+NEAR += [pytest.param("Cauchy2F1_32", complex(0.5 + s * NEAR_DIST, 1.0),
+                      id=f"Cauchy2F1_32-high-{k}",
+                      marks=pytest.mark.xfail(
+                          strict=True, raises=ConvergenceError,
+                          reason="ROADMAP item 3: Cauchy2F1_32's near band"))
+         for k, s in enumerate((1, -1))]
+
+
+@pytest.mark.parametrize("name,z", NEAR)
+def test_backward_sweep_settles_near_the_support(name, z):
+    # near the support the contraction rate is close to 1; seeded with the
+    # tail root the sweep still settles by start 1280, before lambda_n
+    # underflows, and it lands on the closed branch
+    m = build(name)
+    est = minimal_solution_backward(m.spec, z, window=10)
+    cf = m.cf_value(z)
+    assert abs(est.ratio_at_0 - cf) <= 1e-10 * abs(cf)
+    xs = [m.minimal(n, z) for n in range(11)]
+    for got, x in zip(est.values, xs):
+        want = x / xs[0]
+        assert abs(got - want) <= 1e-10 * abs(want)
+    # a grid point of SinhLattice42 is an isolated mass, not a band: its
+    # rate stays as small as far from the grid
+    assert 0.0 < est.rate < 1.0
+    if name != "SinhLattice42":
+        assert est.rate > 0.9
 
 
 def test_sinh_lattice_pincherle_residual():

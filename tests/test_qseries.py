@@ -58,7 +58,6 @@ def test_q_pochhammer_infinite_reference_value():
     assert q_pochhammer(CTX, 0.3) == pytest.approx(want, rel=1e-13)
 
 
-@settings(max_examples=60, deadline=None)
 @given(
     re=st.floats(-1.4, 1.4),
     im=st.floats(-1.4, 1.4),
@@ -110,7 +109,7 @@ _INSIDE = st.floats(0.0, 0.5 * _TERMINATION_RTOL)
 _OUTSIDE = st.floats(2.0 * _TERMINATION_RTOL, 0.3)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings.default.max_examples))
 @given(
     r=st.floats(0.05, 0.995),
     phase=st.sampled_from([0.0, math.pi]) | st.floats(-math.pi, math.pi),

@@ -224,20 +224,45 @@ def test_terminating_fraction_rii():
 
 
 def test_minimal_solution_backward_constant_family():
+    # constant coefficients: the tail root is the minimal ratio itself, so
+    # the first two sweeps agree and the first comparison (start 80) returns
     a, b = 1.0, 4.0
     spec = cheb_spec(a, b)
     z = 2.5
     est = minimal_solution_backward(spec, z, window=12)
     assert est.values[0] == 1.0
+    assert est.start == 80
     sz = math.sqrt(z)
     minimal_ratio = (sz - 1.0) * (sz - 2.0) / 2.0
+    dominant_ratio = (sz + 1.0) * (sz + 2.0) / 2.0
     for n in range(1, 13):
         assert est.values[n] / est.values[n - 1] == pytest.approx(
-            minimal_ratio, rel=1e-9
+            minimal_ratio, rel=1e-13
         )
+    assert est.rate == pytest.approx(abs(minimal_ratio / dominant_ratio),
+                                     rel=1e-13)
     want_cf = 2.0 / ((sz + 1.0) * (sz + 2.0))
     assert est.ratio_at_0 == pytest.approx(want_cf, rel=1e-10)
     assert est.residual < 1e-12
+
+
+def test_tail_root_does_not_overflow_or_cancel():
+    # (z - c_n)^2 overflows long before z - c_n does; the small root is
+    # w_n / (z - c_n) to first order and must not cancel to 0
+    spec = RecurrenceSpec(
+        kind=R_I, c=lambda n: -1e200, lam=lambda n: 1.0, a=lambda n: 0.0)
+    rho, rate = recurrence._tail_root(spec, 0.5 + 0.0j, 41)
+    assert rho == pytest.approx(0.5 / 1e200, rel=1e-15)
+    assert rate == 0.0
+
+
+def test_minimal_solution_backward_tie_on_the_support():
+    # z = -0.5 lies on the support (-inf, 0] of the constant family: the
+    # tail roots are complex conjugates up to rounding and no solution is
+    # minimal
+    spec = cheb_spec(1.0, 4.0)
+    with pytest.raises(ConvergenceError, match="tie in modulus"):
+        minimal_solution_backward(spec, -0.5, window=5)
 
 
 def test_minimal_solution_backward_geometric_family():
