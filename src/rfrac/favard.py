@@ -18,15 +18,26 @@ lambda_1 = 0; a kind R_II functional has L[1] = N_0 and L[x S_1] = N_1,
 both given by the caller. Powers and prefixes are read off rules of at
 most ``_MAX_DEPTH`` + 1 points, and no descriptor index may pass
 ``_MAX_DEPTH``.
+
+The type-II Favard normalization is N_0 = kappa_1 and N_1 = kappa_1 - 1,
+with kappa_j the tails of the lambda fraction t_n = lambda_n / (1 - t_{n+1}).
+``kappa_tails`` sweeps that fraction backward from a seed at depths
+40, 80, 160, ...: the frozen tail root where lambda_n tends to a limit
+other than 1/4, and the second-order seed 1/2 + beta/n where lambda_n
+tends to 1/4 like 1/4 - mu/n^2. In the second case the sweeps converge
+only like depth^-(s+1), s = sqrt(1 + 16 mu), and Richardson extrapolation
+with exponents s+1, s+2, ... finishes the job. It stops when the worst of
+the requested tails has settled to 1e-12 relative.
 """
 
+import cmath
 from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, OutOfSpanError
-from .recurrence import R_I, R_II
+from .recurrence import R_I, R_II, RecurrenceSpec, _tail_root
 
 __all__ = [
     "MomentFunctional",
@@ -41,8 +52,8 @@ _PT_TOL = 1e-12
 # deepest power or prefix evaluated; the rule is checked this deep, and at
 # 40 points it loses digits where the points a_k, b_k grow like q^{-n}
 _MAX_DEPTH = 20
-# kappa_tails: first depth, relative tolerance, most depth doublings
-_KAPPA_DEPTH = 400
+# kappa_tails: first depth, relative tolerance, number of depths tried
+_KAPPA_DEPTH = 40
 _KAPPA_TOL = 1e-12
 _KAPPA_LEVELS = 8
 
@@ -81,6 +92,7 @@ class MomentFunctional:
                       else [complex(N0), complex(N1)])
         self.basis_values = {}   # descriptor -> value
         self._rules = {}         # n -> the n-point PencilRule
+        self._read = {}          # map name -> its values read so far
 
     def norm(self, n):
         """R_I: lam1 lam_2 ... lam_{n+1}. R_II: N_n."""
@@ -96,13 +108,31 @@ class MomentFunctional:
     def rule(self, depth):
         """The depth + 1 point PencilRule, exact on prefixes and powers up
         to depth."""
-        if depth + 1 not in self._rules:
-            self._rules[depth + 1] = _pencil_rule(self.spec, depth + 1)
-        return self._rules[depth + 1]
+        n = depth + 1
+        if n not in self._rules:
+            self._rules[n] = _pencil_rule(*self._coefficients(n))
+        return self._rules[n]
+
+    def _coefficients(self, n):
+        """c_1..c_n, then lambda_k, a_k and b_k (None for kind R_I) for
+        k = 2..n, as arrays. Each map is read once per index: the values
+        read so far are kept, and extended only when a deeper rule asks."""
+        names = ("c", "lam", "a") + (("b",) if self.kind == R_II else ())
+        out = []
+        for name in names:
+            first = 1 if name == "c" else 2
+            vals = self._read.setdefault(name, [])
+            f = getattr(self.spec, name)
+            vals.extend(f(m) for m in range(first + len(vals), n + 1))
+            out.append(np.array(vals[:n + 1 - first], dtype=complex))
+        return out if self.kind == R_II else out + [None]
 
 
-def _pencil_rule(spec, n):
-    """The n-point PencilRule of a recurrence.
+def _pencil_rule(c, lam, a, b):
+    """The n-point PencilRule of a recurrence, n = len(c).
+
+    c holds c_1..c_n; lam, a and b hold lambda_k, a_k and b_k for
+    k = 2..n, and b is None for kind R_I.
 
     Dividing out the interpolation factors, u_m = P_m / prod_{k=2}^{m+1}
     (z - a_k), makes the recurrence linear in z:
@@ -121,11 +151,7 @@ def _pencil_rule(spec, n):
     eigenvector form -V[0, j] (V^{-1} K^{-1} e_1)_j loses those digits
     where a node sits close to a pole.
     """
-    def coeffs(f, first):
-        return np.array([f(m) for m in range(first, n + 1)], dtype=complex)
-
-    c, lam, a = coeffs(spec.c, 1), coeffs(spec.lam, 2), coeffs(spec.a, 2)
-    b = coeffs(spec.b, 2) if spec.kind == R_II else None
+    n = len(c)
     K = -np.eye(n) + np.eye(n, k=1) + (0 if b is None else np.diag(lam, -1))
     J = -np.diag(c) + np.diag(a, 1) + np.diag(-lam if b is None else lam * b, -1)
     try:
@@ -207,62 +233,100 @@ def build_RII(spec, N0, N1):
 def kappa_tails(spec, jmax):
     """Tail values kappa_j, j = 1..jmax, of the lambda continued fraction.
 
-    Bottom-up sweeps with zero seed at a ladder of doubling depths.
-    Families whose lambda_n approach 1/4 put the tail at a neutral fixed
-    point, where the raw truncation error decays only like 1/depth, far too
-    slow for the 1e-12 target; Neville extrapolation in 1/depth across the
-    ladder removes that obstruction while keeping the plain sweep intact.
+    The tails t_n = lambda_n / (1 - t_{n+1}), n >= 2, give kappa_1 =
+    1 / (1 - t_2) and kappa_n = t_n. They are the ratios of the minimal
+    solution of N_n = N_{n-1} - lambda_n N_{n-2}, the recurrence of the
+    leading coefficients of P_n. Each sweep starts at depth D from a seed
+    for t_D and runs down to n = 2; D doubles from _KAPPA_DEPTH, and each
+    lambda_n is read once. The seed follows from mu_D = (1/4 - lambda_D) D^2:
+
+    - lambda_D = 0 ends the fraction there, and the seed is 0.
+    - |mu_D| >= D (lambda_n tends to some L != 1/4): the frozen tail root,
+      the smaller root of t^2 - t + lambda_D = 0 (recurrence._tail_root).
+      Its error decays like the tail's own geometric rate. Roots tied in
+      modulus (lambda_n -> L > 1/4 real) leave no minimal solution and
+      raise ConvergenceError.
+    - |mu_D| < D (lambda_n -> 1/4 like 1/4 - mu / n^2): the second-order
+      seed 1/2 + beta / D, beta = (1 - sqrt(1 + 16 mu_D)) / 4, exact for
+      lambda == 1/4. The fixed point is neutral, so the error of a sweep
+      decays only like D^-(s+1), s = sqrt(1 + 16 mu), with corrections in
+      D^-(s+2), D^-(s+3), ... Richardson extrapolation on the doubling
+      ladder removes them in turn; s comes from mu_infinity, itself
+      Richardson-extrapolated from the mu_D of the ladder with exponents
+      1, 2, ... A change of seed kind restarts the ladder.
+
+    The depth doubles until the worst of the jmax estimates moves by at
+    most _KAPPA_TOL * max(1, |kappa_j|) from the level before. For s
+    below about 0.9, rounding (amplified like D^(1-s)) keeps the estimates
+    from settling, and ConvergenceError is raised instead of a rough value.
     """
     if jmax < 1:
         raise DomainError("jmax must be at least 1")
-    lam = spec.lam
-
-    def sweep(D):
-        t = 0.0 + 0.0j
-        kap = [0.0 + 0.0j] * (jmax + 2)
-        for n in range(D, 1, -1):
-            den = 1.0 - t
-            if den == 0.0:
-                raise ConvergenceError("tail fraction hit a zero denominator")
-            t = complex(lam(n)) / den
-            if n <= jmax + 1:
-                kap[n] = t
-        den = 1.0 - kap[2]
-        if den == 0.0:
-            raise ConvergenceError("kappa_1 denominator vanished")
-        kap[1] = 1.0 / den
-        return kap[1:jmax + 1]
-
-    rows = []
-    hs = []
-    est_prev = None
+    lams = [0.0, 0.0]   # lambda_n at index n; the sweeps start at n = 2
+    # N_n = N_{n-1} - lambda_n N_{n-2} is the kind R_I recurrence with
+    # c = a = 0 at z = 1; its tail root reads the lambda_n already read
+    leading = RecurrenceSpec(R_I, c=_zero, lam=lams.__getitem__, a=_zero)
+    rows, mus = [], []   # the parabolic ladder, reset on a change of seed
+    prev = None
     D = max(_KAPPA_DEPTH, jmax + 2)
     for _ in range(_KAPPA_LEVELS):
-        rows.append(sweep(D))
-        hs.append(1.0 / D)
-        est = _neville_last(hs, rows)
-        if est_prev is not None:
-            err = max(
-                abs(e - p) / max(1.0, abs(e)) for e, p in zip(est, est_prev))
+        lams.extend(complex(spec.lam(n)) for n in range(len(lams), D + 1))
+        mu = (0.25 - lams[D]) * D * D
+        if lams[D] != 0.0 and abs(mu) < D:
+            beta = (1.0 - cmath.sqrt(1.0 + 16.0 * mu)) / 4.0
+            rows.append(_tail_sweep(lams, D, 0.5 + beta / D, jmax))
+            mus.append([mu])
+            s = cmath.sqrt(1.0 + 16.0 * _richardson(mus, 1.0)[0])
+            est = _richardson(rows, s + 1.0)
+        else:
+            seed = _tail_root(leading, 1.0, D)[0] if lams[D] != 0.0 else 0.0
+            rows, mus = [], []
+            est = _tail_sweep(lams, D, seed, jmax)
+        if prev is not None:
+            err = max(abs(e - p) / max(1.0, abs(e)) for e, p in zip(est, prev))
             if err <= _KAPPA_TOL:
                 return est
-        est_prev = est
+        prev = est
         D *= 2
     raise ConvergenceError(
-        f"kappa tails did not stabilize within {_KAPPA_LEVELS} depth doublings")
+        f"kappa tails did not settle by depth {D // 2}")
 
 
-def _neville_last(hs, rows):
-    """Neville extrapolation to h = 0, vectorized over the tail index."""
-    m = len(hs)
-    width = len(rows[0])
+def _zero(n):
+    return 0.0
+
+
+def _tail_sweep(lams, D, t, jmax):
+    """kappa_1..kappa_jmax from the seed t = t_D, swept down to t_2."""
+    kap = []   # t_jmax, ..., t_2, then kappa_1
+    for n in range(D - 1, 1, -1):
+        t = lams[n] / _tail_denominator(t)
+        if n <= jmax:
+            kap.append(t)
+    kap.append(1.0 / _tail_denominator(t))
+    return kap[::-1]
+
+
+def _tail_denominator(t):
+    den = 1.0 - t
+    if den == 0.0:
+        raise ConvergenceError("tail fraction hit a zero denominator")
+    return den
+
+
+def _richardson(rows, p):
+    """Extrapolate rows at depths D, 2D, 4D, ... to D = infinity.
+
+    The error of a row is taken to expand in D^-p, D^-(p+1), ...; the
+    last row of the table, one term removed per column, is returned.
+    """
     tab = [list(r) for r in rows]
-    for j in range(1, m):
-        for i in range(m - 1, j - 1, -1):
-            den = hs[i] - hs[i - j]
-            for k in range(width):
-                tab[i][k] = (-hs[i - j] * tab[i][k] + hs[i] * tab[i - 1][k]) / den
-    return tab[m - 1]
+    for j in range(1, len(tab)):
+        f = 2.0 ** (p + j - 1)
+        for i in range(len(tab) - 1, j - 1, -1):
+            tab[i] = [(f * x - y) / (f - 1.0)
+                      for x, y in zip(tab[i], tab[i - 1])]
+    return tab[-1]
 
 
 # -- functional evaluation ------------------------------------------------

@@ -284,7 +284,8 @@ def minimal_solution_backward(spec, z, window, start=40, max_start=1280):
     ratio_at_0 agrees between two successive sweeps within
     _BACKWARD_TOL * max(1, |newer|). A z where the tail roots tie in
     modulus lies on the support and raises ConvergenceError, as does a
-    sweep that has not settled by max_start.
+    sweep that has not settled by max_start, or one whose coefficient maps
+    overflow (inf, or a builtin OverflowError or ZeroDivisionError).
     """
     if window < 1:
         raise DomainError("window must be at least 1")
@@ -292,7 +293,14 @@ def minimal_solution_backward(spec, z, window, start=40, max_start=1280):
     prev_ratio = None
     s = start
     while s <= max_start:
-        vals, ratio, rate = _backward_pass(spec, zc, window, s)
+        try:
+            vals, ratio, rate = _backward_pass(spec, zc, window, s)
+        except (OverflowError, ZeroDivisionError):
+            # a coefficient map left the float range in plain Python
+            # arithmetic, which raises instead of giving inf
+            raise ConvergenceError(
+                f"coefficient overflow in the sweep from level {s + 1}; "
+                "lower the start index") from None
         if prev_ratio is not None:
             if abs(ratio - prev_ratio) <= _BACKWARD_TOL * max(1.0, abs(ratio)):
                 res = _window_residual(spec, zc, vals)

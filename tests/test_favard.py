@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -376,10 +378,38 @@ def test_rii_moment_table_satisfies_unused_relations():
 
 
 def test_kappa_constant_quarter_family():
+    # the second-order seed 1/2 is the exact tail of lambda == 1/4
     kap = kappa_tails(cheb_like_spec(), jmax=6)
-    assert abs(kap[0] - 2.0) <= 1e-11
+    assert abs(kap[0] - 2.0) <= 1e-14
     for v in kap[1:]:
-        assert abs(v - 0.5) <= 1e-11
+        assert abs(v - 0.5) <= 1e-14
+
+
+def closed_cauchy_kappa(a, b, jmax):
+    # kappa_1 = (s + 1)/s and kappa_n = (n - 1)/(2n + s - 3), s = a - b
+    s = a - b
+    return [(s + 1) / s] + [(n - 1) / (2 * n + s - 3) for n in range(2, jmax + 1)]
+
+
+@pytest.mark.parametrize("a,b", [(1.2, -0.3), (0.7, -0.1), (2.5, 0.4),
+                                 (1 + 0.3j, -0.2)])
+def test_kappa_limit_parabolic_family_matches_closed_tails(a, b):
+    # lambda_n -> 1/4 like 1/4 - mu/n^2: non-integer and complex s = a - b,
+    # where the sweep error decays like depth^-(s+1)
+    kap = kappa_tails(cauchy_like_spec(a, b), jmax=20)
+    for got, want in zip(kap, closed_cauchy_kappa(a, b, 20), strict=True):
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_kappa_small_gap_gives_a_value_or_a_typed_error():
+    # at s = 0.6 rounding, amplified like depth^(1-s), is near the tolerance
+    a, b = 0.3, -0.3
+    try:
+        kap = kappa_tails(cauchy_like_spec(a, b), jmax=20)
+    except ConvergenceError:
+        return
+    for got, want in zip(kap, closed_cauchy_kappa(a, b, 20), strict=True):
+        assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_kappa_vanishing_tail():
@@ -413,19 +443,37 @@ def test_kappa_products_reproduce_norms():
         assert abs(prod - fn.norm(n)) <= 1e-11 * max(1.0, abs(prod))
 
 
-def test_kappa_geometric_tail_matches_direct_evaluation():
-    spec = RecurrenceSpec(
+def geometric_tail_spec():
+    return RecurrenceSpec(
         kind=R_II,
         c=lambda n: 1.0,
         lam=lambda n: 0.3 * 0.5**n,
         a=lambda n: 5.0,
         b=lambda n: 7.0,
     )
+
+
+def test_kappa_geometric_tail_matches_direct_evaluation():
+    spec = geometric_tail_spec()
     kap = kappa_tails(spec, jmax=2)
     t = 0.0
     for n in range(240, 1, -1):
         t = spec.lam(n) / (1.0 - t)
     assert abs(kap[1] - t) <= 1e-13
+
+
+def test_kappa_geometric_tail_reads_few_coefficients():
+    # the tail-root seed settles in two short sweeps; zero-seeded sweeps at
+    # depths 400 and 800 read lambda about 1200 times
+    spec = geometric_tail_spec()
+    calls = []
+
+    def lam(n):
+        calls.append(n)
+        return spec.lam(n)
+
+    kappa_tails(dataclasses.replace(spec, lam=lam), jmax=2)
+    assert len(calls) < 400
 
 
 def test_kappa_divergent_family_raises():

@@ -230,6 +230,17 @@ def test_backward_sweep_settles_near_the_support(name, z):
         assert est.rate > 0.9
 
 
+def test_backward_sweep_coefficient_overflow_is_typed():
+    # at small q SinhLattice42's maps leave the float range past level
+    # ~1000 in plain Python arithmetic: partial_numerator(1281) raises a
+    # builtin OverflowError, and c(1281) a ZeroDivisionError
+    m = instantiate("SinhLattice42",
+                    {"q": 0.4, "t1": 0.2, "t2": 0.3, "t3": 0.4, "t4": 0.1})
+    with pytest.raises(ConvergenceError, match="coefficient overflow"):
+        minimal_solution_backward(m.spec, 0.3 + 0.2j, window=10, start=1280,
+                                  max_start=2560)
+
+
 def test_sinh_lattice_pincherle_residual():
     m = build("SinhLattice42")
     z = 1.1 + 0.7j
