@@ -9,6 +9,7 @@ from .errors import (
     DomainError,
     OutOfSpanError,
     PoleError,
+    PrecisionError,
     SupportProximityError,
 )
 from .qseries import (

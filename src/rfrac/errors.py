@@ -9,6 +9,7 @@ __all__ = [
     "PoleError",
     "CollisionError",
     "OutOfSpanError",
+    "PrecisionError",
 ]
 
 
@@ -42,3 +43,13 @@ class CollisionError(DomainError):
 
 class OutOfSpanError(LookupError):
     """Requested functional value is outside the span fixed by the defining recurrence."""
+
+
+class PrecisionError(ArithmeticError):
+    """A sum cancels past the reach of the arithmetic that formed it.
+
+    The double-double series kernel (``qseries.TerminatingPhi``) raises it
+    when the cancellation condition times 2^-104 exceeds
+    ``qseries._DD_REACH`` = 1e-11: past that point fewer than 11 digits,
+    relative to the largest value over the nodes, are left.
+    """

@@ -1,16 +1,24 @@
 """Spectral measures in their four concrete shapes, plus quadrature engines.
 
-Densities and weights always arrive as closures from the caller; this module
-only integrates them. Every continuous engine is a rule n -> (nodes,
-weights), and one ladder refines it by node doublings, starting at
-``_NODES`` nodes and doubling at most ``_MAX_REFINEMENTS`` times. The
-stopping test is per entry: a value is accepted at the first doubling that
-moves it by |Δ| <= ``_TOL`` * max(1, |value|), an absolute test while
-|value| < 1 and a relative one above, so a reported value carries its own
-stability check. A discrete sum stops once its next term is at most
-``_TOL`` times the partial sum, or after ``_TAIL_TERMS`` points. These are
-module constants, so every caller integrates the same way. Reductions run
-in a fixed index order, which keeps results bit-stable.
+Densities, weights and integrands always arrive as closures from the
+caller; this module only integrates them. Every closure takes an array of
+nodes and returns an array of the same shape; there is no scalar fallback,
+and a closure that returns anything else raises TypeError.
+
+Every engine is a rule n -> (nodes, weights), and one ladder refines it by
+node doublings, starting at ``_NODES`` nodes and doubling at most
+``_MAX_REFINEMENTS`` times. The stopping test is per entry: a value is
+accepted at the first doubling that moves it by
+|Δ| <= ``_TOL`` * max(1, |value|), an absolute test while |value| < 1 and a
+relative one above, so a reported value carries its own stability check. A
+discrete measure is a fixed rule: its nodes and weights are its points,
+and the ladder sums every point once, in one level. The vertical line is a
+trapezoid rule in u with Im t = sinh(u) on the window |u| <=
+``_LINE_WINDOW`` * sqrt(n): algebraic tails of the density decay
+exponentially in u, and a window that widens with n lets the truncation
+and discretization errors fall together. These are module constants, so
+every caller integrates the same way. Reductions run in a fixed index
+order, which keeps results bit-stable.
 """
 
 import math
@@ -42,9 +50,10 @@ LINE = "vertical_line"
 DISCRETE = "discrete"
 
 _NODES = 64
-_TAIL_TERMS = 60
 _TOL = 1e-10
 _MAX_REFINEMENTS = 10
+_LINE_WINDOW = 1.0
+_LINE_WINDOW_CAP = 36.0
 
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
@@ -124,18 +133,13 @@ def discrete(points):
 
 
 def _eval_nodes(f, pts):
-    """f at every node, returned in node order.
-
-    Tries one vectorized call first; scalar closures fall back to a loop.
-    """
-    pts = np.asarray(pts)
-    try:
-        v = np.asarray(f(pts), dtype=complex)
-        if v.shape == pts.shape:
-            return v
-    except (TypeError, ValueError):
-        pass
-    return np.array([complex(f(p)) for p in pts], dtype=complex)
+    """f at every node, from one call on the node array."""
+    v = np.asarray(f(pts), dtype=complex)
+    if v.shape != pts.shape:
+        raise TypeError(
+            f"a closure returned shape {v.shape} for {pts.shape} nodes; "
+            "closures take and return node arrays")
+    return v
 
 
 def _eval_rows(fs, pts):
@@ -164,9 +168,12 @@ def _ladder(m, left, right):
     Every level evaluates each member once and forms G = (L * w) @ R.T
     from the rule's nodes and weights. Once an entry passes the stopping
     test it is frozen; later levels evaluate only the rows and columns
-    that still hold an open entry.
+    that still hold an open entry. A discrete measure's fixed rule is
+    summed once, with no refinement.
     """
     rule = _rule(m)
+    if m.variant == DISCRETE:
+        return _level_gram(rule, len(m.points), left, right)
     G = np.zeros((len(left), len(right)), dtype=complex)
     open_ = np.ones(G.shape, dtype=bool)
     rows, cols = np.arange(len(left)), np.arange(len(right))
@@ -248,17 +255,27 @@ def _gauss_legendre_rule(m):
 
 
 def _line_rule(m):
-    # midpoint grid: same rule as the trapezoid on the pi-periodic
-    # extension through y = inf, but it never evaluates the endpoints
+    # n points of spacing h in u, y = sinh(u), centred on u = 0 and filling
+    # |u| < min(_LINE_WINDOW sqrt(n), _LINE_WINDOW_CAP); the cap keeps the
+    # members' powers of y far from overflow
     def rule(n):
-        theta = -0.5 * math.pi + (np.arange(n) + 0.5) * math.pi / n
-        y = np.tan(theta)
+        h = 2.0 * min(_LINE_WINDOW * math.sqrt(n), _LINE_WINDOW_CAP) / n
+        u = (np.arange(n) - 0.5 * (n - 1)) * h
+        y = np.sinh(u)
         dv = _eval_nodes(m.density, y)
-        return m.re + 1j * y, (math.pi / n) * dv / np.cos(theta) ** 2
+        return m.re + 1j * y, h * dv * np.cosh(u)
     return rule
 
 
+def _discrete_rule(m):
+    t = np.array([p[0] for p in m.points], dtype=complex)
+    w = np.array([p[1] for p in m.points], dtype=complex)
+    return lambda n: (t, w)
+
+
 def _rule(m):
+    if m.variant == DISCRETE:
+        return _discrete_rule(m)
     if m.variant == CIRCLE:
         return _circle_rule(m)
     if m.variant == LINE:
@@ -272,33 +289,12 @@ def _rule(m):
     raise DomainError(f"unknown measure variant {m.variant!r}")
 
 
-def _discrete_sum(m, f):
-    partial = 0.0 + 0.0j
-    limit = min(len(m.points), _TAIL_TERMS)
-    z, w = m.points[0]
-    fz = complex(f(z))
-    for k in range(limit):
-        partial += fz * complex(w)
-        if k + 1 < limit:
-            z, w = m.points[k + 1]
-            if w == 0.0:
-                break
-            # the look-ahead value is the next term's, so f runs once a point
-            fz = complex(f(z))
-            nxt = abs(fz * complex(w))
-            if k >= 1 and nxt <= _TOL * max(abs(partial), 1e-300):
-                break
-    return partial
-
-
 def _one(t):
-    return np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+    return np.ones_like(t)
 
 
 def integrate(m, f):
     """Integral of f against the measure, refined to the stopping test."""
-    if m.variant == DISCRETE:
-        return _discrete_sum(m, f)
     return complex(_ladder(m, [f], [_one])[0, 0])
 
 
@@ -335,15 +331,7 @@ def weighted_gram(m, left, right, N):
     """G[i][j] = integral of left(i)(t) right(j)(t) dα(t), 0 <= i, j < N.
 
     left and right map an index to a member closure, as BiorthFamily.left
-    and right do. Continuous measures run one refinement ladder for the
-    whole matrix; a discrete measure truncates each entry's sum on its own.
+    and right do. One refinement ladder serves the whole matrix.
     """
-    ls = [left(i) for i in range(N)]
-    rs = [right(j) for j in range(N)]
-    if m.variant != DISCRETE:
-        return _ladder(m, ls, rs)
-    G = np.empty((N, N), dtype=complex)
-    for i, li in enumerate(ls):
-        for j, rj in enumerate(rs):
-            G[i, j] = integrate(m, lambda t: li(t) * rj(t))
-    return G
+    return _ladder(m, [left(i) for i in range(N)],
+                   [right(j) for j in range(N)])

@@ -17,12 +17,18 @@ The model modules build those closures from the shared pieces here:
   solution;
 - ``branch_guard``: the check that z is off the curve separating two
   closed-form branches;
-- ``joukowski_split``, ``joukowski_outer_root``, ``exp_sinh_inverse`` and
-  ``unit_circle_pair``: the branch choices the closed forms are written on.
+- ``joukowski_split``, ``joukowski_outer_root`` and ``exp_sinh_inverse``:
+  the branch choices the closed forms are written on.
+
+The biorthogonal members are terminating basic series. A model declares
+each member as a ``qseries.TerminatingPhi``: its parameters as monomials
+in the model's own doubles and the node variable e (``qseries.mono``), and
+the map from node to e. The kernel forms the parameters and sums the
+series in double-double over a whole node array, so every member closure
+takes and returns node arrays.
 """
 
 import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +51,6 @@ __all__ = [
     "real_base",
     "require",
     "theta_interval",
-    "unit_circle_pair",
 ]
 
 _UNIT_RTOL = 1e-12
@@ -94,7 +99,8 @@ class ModelSpec:
 class BiorthFamily:
     """Two indexed function families paired against a fixed measure.
 
-    ``left`` and ``right`` map an index n to a point-evaluation closure;
+    ``left`` and ``right`` map an index n to a member closure, which takes
+    a node array and returns the member's values with the nodes' shape;
     ``norm`` maps n to the closed-form value of the diagonal pairing.
     ``pairing`` is the measure the Gram matrix is taken against, which
     need not coincide with the model's spectral measure.
@@ -141,20 +147,6 @@ def exp_sinh_inverse(z):
     if abs(s) < 1.0:
         s = -1.0 / s
     return s
-
-
-def unit_circle_pair(x):
-    """The pair (e, 1/e) with e + 1/e = 2x.
-
-    For real x in [-1, 1] this is the conjugate pair exp(+-i theta) with
-    x = cos(theta); elsewhere e is the root of larger modulus.
-    """
-    xc = complex(x)
-    if xc.imag == 0.0 and -1.0 <= xc.real <= 1.0:
-        e = complex(xc.real, math.sqrt(max(0.0, 1.0 - xc.real * xc.real)))
-        return e, e.conjugate()
-    u = joukowski_split(xc)
-    return u, 1.0 / u
 
 
 def branch_guard(gap, scale, boundary, z):

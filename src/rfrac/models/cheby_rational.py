@@ -7,8 +7,9 @@ of the nonsymmetric model next door, and all closed forms collapse to
 plain infinite products and one-line rationals.
 
 Both parameters at zero is an allowed corner: the model constructs, the
-weight reduces to the undeformed Chebyshev one, and the family collapses
-(every member past the constant vanishes identically).  The recurrence
+weight reduces to the undeformed Chebyshev one, and the family collapses:
+every member past the constant vanishes identically, so its series
+cancels completely and raises PrecisionError.  The recurrence
 coefficient maps are undefined there and fail on first call, taking the
 ladder-backed closed solution and the fraction value with them.
 """
@@ -18,11 +19,12 @@ import math
 import numpy as np
 
 from ..measures import interval, normalization
-from ..qseries import QContext, basic_phi, multi_q_pochhammer, q_pochhammer
+from ..qseries import (QContext, TerminatingPhi, mono, multi_q_pochhammer,
+                       q_pochhammer, segment_node)
 from ..recurrence import R_II, RecurrenceSpec
 from .base import (BiorthFamily, ModelSpec, PrefixProduct,
                    fraction_from_minimal, joukowski_outer_root, require,
-                   real_base, unit_circle_pair)
+                   real_base)
 from .rahman import recurrence_maps
 
 NAME = "ChebyRational51"
@@ -75,10 +77,10 @@ def build(params):
 
     def family():
         def left(m):
-            return lambda x: rational_ladder(ctx, de, al, m, x)
+            return ladder_member(q, de, al, m)
 
         def right(n):
-            return lambda x: rational_ladder(ctx, al, de, n, x)
+            return ladder_member(q, al, de, n)
 
         def norm(n):
             qn = q_pochhammer(ctx, q, n)
@@ -100,32 +102,14 @@ def build(params):
                      cf_value=cf_value, family=family, extras=extras)
 
 
-def rational_ladder(ctx, al, de, n, x):
-    """Terminating series member with poles down the first ladder."""
-    q = ctx.q
-    e, ei = unit_circle_pair(x)
-    return basic_phi(ctx, (q ** -n, al * de * q ** n, al * e, al * ei),
-                     (al * de, q * al * e, q * al * ei), q).value
-
-
-def partial_fractions(ctx, al, de, n, x):
-    """The same member over its head pole factor, as an explicit sum of
-    simple poles down the ladder.  Agrees with rational_ladder divided by
-    (1 - 2*al*x + al^2)."""
-    q = ctx.q
-    total = 0.0 + 0.0j
-    binom = 1.0 + 0.0j
-    shift = 1.0 + 0.0j
-    sign = 1.0
-    for k in range(n + 1):
-        total += (binom * shift * sign
-                  / (1.0 - 2.0 * al * q ** k * x + al * al * q ** (2 * k)))
-        binom *= (1.0 - q ** (n - k)) / (1.0 - q ** (k + 1))
-        shift *= (1.0 - al * de * q ** (n + k)) / (1.0 - al * de * q ** k)
-        # the exponent k(k+1)/2 - nk makes the coefficient exactly
-        # (q^{-n};q)_k q^k / (q;q)_k over the gaussian binomial
-        sign *= -q ** (k + 1 - n)
-    return total
+def ladder_member(q, al, de, n):
+    """The terminating series member with poles down the first ladder,
+    4phi3(q^-n, al de q^n, al e, al/e; al de, q al e, q al/e; q, q) with
+    e + 1/e = 2x."""
+    return TerminatingPhi(
+        q, (mono((q, -n)), mono(al, de, (q, n)), mono(al, e=1), mono(al, e=-1)),
+        (mono(al, de), mono(q, al, e=1), mono(q, al, e=-1)), mono(q),
+        segment_node)
 
 
 def elementary_mass(params):

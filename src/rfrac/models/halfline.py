@@ -47,15 +47,15 @@ def _branch_root(z, ra, rb):
 
 def _poly(ra, rb, n, x):
     """Degree-n numerator polynomial, branch-independent in sqrt(x)."""
-    s = cmath.sqrt(complex(x))
+    s = np.sqrt(np.asarray(x, dtype=complex))
     plus = ((s + ra) * (s + rb)) ** (n + 1)
     minus = ((s - ra) * (s - rb)) ** (n + 1)
     return (plus - minus) / (2.0 ** (n + 1) * (ra + rb) * s)
 
 
 def _rational(a, b, ra, rb, n, x):
-    xc = complex(x)
-    return _poly(ra, rb, n, xc) / ((a - xc) ** (n // 2) * (b - xc) ** ((n + 1) // 2))
+    x = np.asarray(x, dtype=complex)
+    return _poly(ra, rb, n, x) / ((a - x) ** (n // 2) * (b - x) ** ((n + 1) // 2))
 
 
 def build(params):

@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from ..measures import circle_contour, stieltjes
-from ..qseries import QContext, basic_phi, multi_q_pochhammer, q_pochhammer
+from ..qseries import (QContext, TerminatingPhi, basic_phi, circle_node, mono,
+                       multi_q_pochhammer, q_pochhammer)
 from ..recurrence import R_I, RecurrenceSpec
 from .base import (BiorthFamily, ModelSpec, branch_guard, q_product_weight,
                    real_base, require)
@@ -60,13 +61,16 @@ def _solution_outer(ctx, a, b, n, z):
     return pref * s.value
 
 
-def _poly_first(ctx, a, b, m, z):
+def _poly_first(ctx, a, b, m, s):
+    """The degree-m polynomial in z = t**s, as a closure on node arrays:
+    q^(m/2) (b; q)_m / (a q; q)_m 2phi1(q^-m, a q; q^(1-m)/b; q, z sqrt(q)/b)."""
     q = ctx.q
     pref = (q ** (0.5 * m) * q_pochhammer(ctx, b, m)
             / q_pochhammer(ctx, a * q, m))
-    s = basic_phi(ctx, (q ** (-m), a * q), (q ** (1 - m) / b,),
-                  z * math.sqrt(q) / b)
-    return pref * s.value
+    series = TerminatingPhi(q, (mono((q, -m)), mono(a, q)),
+                            (mono((q, 1 - m), (b, -1)),),
+                            mono((q, 0.5), (b, -1), e=s), circle_node)
+    return lambda t: pref * series(t)
 
 
 def build(params):
@@ -127,11 +131,11 @@ def build(params):
         require(abs(a) < 1.0, "|a| < 1 for the unit-circle pairing")
 
         def left(m):
-            return lambda t: _poly_first(ctx, a, b, m, complex(t))
+            return _poly_first(ctx, a, b, m, 1)
 
         def right(n):
             # the first family with the weight parameters swapped, at 1/t
-            return lambda t: _poly_first(ctx, b, a, n, 1.0 / complex(t))
+            return _poly_first(ctx, b, a, n, -1)
 
         def norm(n):
             return (q_pochhammer(ctx, q, n) * q_pochhammer(ctx, a * b * q, n)
@@ -140,7 +144,7 @@ def build(params):
 
         return BiorthFamily(left=left, right=right, norm=norm, pairing=pairing)
 
-    extras = {"poly": lambda m, z: _poly_first(ctx, a, b, m, complex(z))}
+    extras = {"poly": lambda m, z: _poly_first(ctx, a, b, m, 1)(z)}
     return ModelSpec(name=NAME, params={"q": q, "a": a, "b": b}, spec=spec,
                      measure=measure, minimal=minimal, cf_value=cf_value,
                      family=family, extras=extras)
@@ -162,9 +166,7 @@ def transform_241(params, n, k, z):
     zc = complex(z)
     branch_guard(abs(zc) - rq, rq, "|z| = sqrt(q)", zc)
     weight = _circle_weight(ctx, rq, a, b, 1j / (2.0 * math.pi))
-    # the polynomial is a scalar basic series, summed node by node
-    poly = np.vectorize(lambda t: _poly_first(ctx, a, b, n, t),
-                        otypes=[complex])
+    poly = _poly_first(ctx, a, b, n, 1)
 
     def kernel_density(theta):
         t = rq * np.exp(1j * np.asarray(theta, dtype=float))

@@ -12,18 +12,17 @@ from the expanded displays, so they stay consistent with the closed
 solutions at every index.
 """
 
-import cmath
 import math
 
 import numpy as np
 
 from ..measures import normalization
-from ..qseries import QContext, basic_phi, multi_q_pochhammer, q_pochhammer, w87
+from ..qseries import (QContext, TerminatingPhi, basic_phi, mono,
+                       multi_q_pochhammer, q_pochhammer, segment_node, w87)
 from ..recurrence import R_II, RecurrenceSpec
 from .base import (BiorthFamily, ModelSpec, PrefixProduct,
                    fraction_from_minimal, joukowski_outer_root,
-                   q_product_weight, require, real_base, theta_interval,
-                   unit_circle_pair)
+                   q_product_weight, require, real_base, theta_interval)
 
 NAME = "Rahman52"
 
@@ -179,10 +178,10 @@ def build(params):
 
     def family():
         def left(m):
-            return lambda x: rational_balanced(ctx, al, be, de, m, x)
+            return balanced_member(q, al, be, de, m)
 
         def right(n):
-            return lambda x: rational_plain(ctx, al, be, de, n, x)
+            return plain_member(q, al, be, de, n)
 
         mass_head = (multi_q_pochhammer(ctx, (be, q * be))
                      / ((1.0 - al * al * be)
@@ -209,56 +208,25 @@ def build(params):
                      cf_value=cf_value, family=family, extras=extras)
 
 
-def rational_plain(ctx, al, be, de, n, x):
-    """The terminating-series side of the pair."""
-    q = ctx.q
-    p = al * be * be * de
-    e, ei = unit_circle_pair(x)
-    s = basic_phi(ctx, (q ** -n, p * q ** (n - 1), de * e, de * ei),
-                  (al * de, be * de * e, be * de * ei), q)
-    return s.value
+def plain_member(q, al, be, de, n):
+    """The terminating-series side of the pair, with e + 1/e = 2x:
+    4phi3(q^-n, p q^(n-1), de e, de/e; al de, be de e, be de/e; q, q),
+    p = al be^2 de."""
+    return TerminatingPhi(
+        q, (mono((q, -n)), mono(al, be, be, de, (q, n - 1)), mono(de, e=1),
+            mono(de, e=-1)),
+        (mono(al, de), mono(be, de, e=1), mono(be, de, e=-1)), mono(q),
+        segment_node)
 
 
-def rational_balanced(ctx, al, be, de, n, x):
-    """The companion side, carrying the quadratic balancing pair."""
-    q = ctx.q
-    p = al * be * be * de
-    e, ei = unit_circle_pair(x)
-    rb = cmath.sqrt(be)
-    s = basic_phi(ctx, (q ** -n, p * q ** (n - 1), al * e, al * ei,
-                        q * al * rb, -q * al * rb),
-                  (al * de, q * al * be * e, q * al * be * ei,
-                   al * rb, -al * rb), q)
-    return s.value
-
-
-def connection_weights(ctx, al, be, de, n):
-    """Triangle coefficients expanding the balanced side over the plain
-    pole ladder; index j runs 0..n."""
-    q = ctx.q
-    p = al * be * be * de
-    a2b = al * al * be
-    return [(1.0 - a2b * q ** (2 * j))
-            * q_pochhammer(ctx, p * q ** (n - 1), j)
-            / ((1.0 - a2b) * q_pochhammer(ctx, al * de, j))
-            for j in range(n + 1)]
-
-
-def rational_balanced_sum(ctx, al, be, de, n, x):
-    """Triangle-sum form of the balanced side; agrees with the closed
-    series termwise."""
-    q = ctx.q
-    e, ei = unit_circle_pair(x)
-    bw = connection_weights(ctx, al, be, de, n)
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    for j in range(n + 1):
-        total += term * bw[j]
-        term *= (q * (1.0 - q ** (j - n)) * (1.0 - al * e * q ** j)
-                 * (1.0 - al * ei * q ** j)
-                 / ((1.0 - q ** (j + 1)) * (1.0 - q * al * be * e * q ** j)
-                    * (1.0 - q * al * be * ei * q ** j)))
-    return total
+def balanced_member(q, al, be, de, n):
+    """The companion side, carrying the quadratic balancing pair +-al sqrt(be)."""
+    return TerminatingPhi(
+        q, (mono((q, -n)), mono(al, be, be, de, (q, n - 1)), mono(al, e=1),
+            mono(al, e=-1), mono(q, al, (be, 0.5)), mono(-q, al, (be, 0.5))),
+        (mono(al, de), mono(q, al, be, e=1), mono(q, al, be, e=-1),
+         mono(al, (be, 0.5)), mono(-al, (be, 0.5))), mono(q),
+        segment_node)
 
 
 def herglotz_511(params):

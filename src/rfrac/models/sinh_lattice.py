@@ -11,7 +11,8 @@ import cmath
 
 from ..errors import CollisionError
 from ..measures import discrete
-from ..qseries import QContext, basic_phi, multi_q_pochhammer, q_pochhammer, w87
+from ..qseries import (QContext, TerminatingPhi, mono, multi_q_pochhammer,
+                       q_pochhammer, sinh_node, w87)
 from ..recurrence import R_II, RecurrenceSpec
 from .base import (BiorthFamily, ModelSpec, PrefixProduct, exp_sinh_inverse,
                    fraction_from_minimal, real_base, require)
@@ -96,18 +97,15 @@ def _coeff_maps(q, t1, t2, t3, t4):
     return u, c, lam, amap, bmap
 
 
-def rational_grid(ctx, t1, t2, t3, t4, n, z):
-    """Terminating series member vanishing against the grid weights."""
-    q = ctx.q
-    e = exp_sinh_inverse(complex(z))
-    s = basic_phi(ctx, (q ** -n, -t1 * t2 * q ** (n - 2), -t1 * t3 / q,
-                        -t1 * t4 / q),
-                  (-t1 * e, t1 / e, t1 * t2 * t3 * t4 / q ** 3), q)
-    return s.value
-
-
-def rational_grid_swapped(ctx, t1, t2, t3, t4, n, z):
-    return rational_grid(ctx, t2, t1, t3, t4, n, z)
+def grid_member(q, t1, t2, t3, t4, n):
+    """Terminating series member vanishing against the grid weights, with
+    e - 1/e = 2z: 4phi3(q^-n, -t1 t2 q^(n-2), -t1 t3/q, -t1 t4/q;
+    -t1 e, t1/e, t1 t2 t3 t4/q^3; q, q)."""
+    return TerminatingPhi(
+        q, (mono((q, -n)), mono(-t1, t2, (q, n - 2)), mono(-t1, t3, (q, -1)),
+            mono(-t1, t4, (q, -1))),
+        (mono(-t1, e=1), mono(t1, e=-1), mono(t1, t2, t3, t4, (q, -3))),
+        mono(q), sinh_node)
 
 
 def _poly(ctx, t1, t2, t3, t4, uprod, n, z):
@@ -119,7 +117,7 @@ def _poly(ctx, t1, t2, t3, t4, uprod, n, z):
                                      -t1 * t2 / q ** 2), n)
             / ((2.0 * t1 * rst / q) ** n
                * q_pochhammer(ctx, -t1 * t2 / q ** 2, 2 * n) * uprod(n)))
-    return pref * rational_grid(ctx, t1, t2, t3, t4, n, z)
+    return pref * grid_member(q, t1, t2, t3, t4, n)(z)
 
 
 def _solution(ctx, t1, t2, t3, t4, uprod, uv, n, z):
@@ -208,10 +206,10 @@ def build(params):
 
     def family():
         def left(m):
-            return lambda z: rational_grid(ctx, t1, t2, t3, t4, m, z)
+            return grid_member(q, t1, t2, t3, t4, m)
 
         def right(n):
-            return lambda z: rational_grid_swapped(ctx, t1, t2, t3, t4, n, z)
+            return grid_member(q, t2, t1, t3, t4, n)
 
         hconst = (multi_q_pochhammer(ctx, (-t1 * t2 / q, -t1 * t4 / q,
                                            -t2 * t4 / q, -q ** 3 / (t3 * t3)))

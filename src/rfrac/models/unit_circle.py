@@ -12,10 +12,11 @@ import math
 import numpy as np
 
 from ..measures import circle_contour
-from ..qseries import QContext, basic_phi, multi_q_pochhammer, q_pochhammer, w87
+from ..qseries import (QContext, TerminatingPhi, circle_node, mono,
+                       multi_q_pochhammer, q_pochhammer, w87)
 from ..recurrence import R_II, RecurrenceSpec
 from .base import (BiorthFamily, ModelSpec, PrefixProduct, branch_guard,
-                   q_product_weight, real_base, require, theta_interval)
+                   q_product_weight, real_base, require)
 
 NAME = "UnitCircle41"
 
@@ -127,7 +128,7 @@ def _poly(ctx, a, b, t1, t2, uprod, n, z):
             * multi_q_pochhammer(ctx, (a * t2 * z * rq, b * t2, t1 * t2 / q,
                                        p / q), n)
             / ((2.0 * t2) ** n * q_pochhammer(ctx, p / q, 2 * n) * uprod(n)))
-    return pref * rational_first(ctx, a, b, t1, t2, n, z)
+    return pref * first_member(q, a, b, t1, t2, n, 1)(z)
 
 
 def build(params):
@@ -192,11 +193,11 @@ def build(params):
 
     def family():
         def left(m):
-            return lambda t: rational_first(ctx, a, b, t1, t2, m, complex(t))
+            return first_member(q, a, b, t1, t2, m, 1)
 
         def right(n):
-            return lambda t: rational_second(ctx, a, b, t1, t2, n,
-                                             1.0 / complex(t))
+            # the first family with (a, t1) and (b, t2) interchanged, at 1/t
+            return first_member(q, b, a, t2, t1, n, -1)
 
         def norm(n):
             return (-(t1 * t2 / q) ** n
@@ -217,43 +218,11 @@ def build(params):
                      cf_value=cf_value, family=family, extras=extras)
 
 
-def rational_first(ctx, a, b, t1, t2, n, z):
-    q = ctx.q
-    p = a * b * t1 * t2
-    rq = math.sqrt(q)
-    s = basic_phi(ctx, (q ** -n, p * q ** (n - 1), t2 * z / rq, t2),
-                  (a * t2 * z * rq, b * t2, t1 * t2 / q), q)
-    return s.value
-
-
-def rational_second(ctx, a, b, t1, t2, n, z):
-    # the first family with (a, t1) and (b, t2) interchanged
-    return rational_first(ctx, b, a, t2, t1, n, z)
-
-
-def trig_weight_density(q, p1, p2, p3, p4):
-    """Angle-variable density of the classical four-parameter trig weight.
-
-    Returns a theta closure (vectorized) whose integral over [0, pi] is 1
-    when all parameter moduli are below 1; useful as an independent
-    quadrature reference.
-    """
-    qv = real_base(q)
-    ctx = QContext(qv)
-    pr = (p1, p2, p3, p4)
-    for val in pr:
-        require(abs(complex(val)) < 1.0, "all four parameters inside the unit disk")
-    pairs = [pr[i] * pr[j] for i in range(4) for j in range(i + 1, 4)]
-    const = (multi_q_pochhammer(ctx, tuple(pairs) + (qv,))
-             / (2.0 * math.pi * q_pochhammer(ctx, p1 * p2 * p3 * p4)))
-    w = q_product_weight(ctx, const, num=((1.0, 2), (1.0, -2)),
-                         den=[(val, k) for val in pr for k in (1, -1)])
-
-    def theta_density(theta):
-        return w(np.exp(1j * np.asarray(theta, dtype=float)))
-
-    return theta_density
-
-
-def trig_weight_measure(q, p1, p2, p3, p4):
-    return theta_interval(trig_weight_density(q, p1, p2, p3, p4))
+def first_member(q, a, b, t1, t2, n, s):
+    """The terminating series member in z = t**s, with p = a b t1 t2:
+    4phi3(q^-n, p q^(n-1), t2 z/sqrt(q), t2; a t2 z sqrt(q), b t2, t1 t2/q; q, q)."""
+    return TerminatingPhi(
+        q, (mono((q, -n)), mono(a, b, t1, t2, (q, n - 1)),
+            mono(t2, (q, -0.5), e=s), mono(t2)),
+        (mono(a, t2, (q, 0.5), e=s), mono(b, t2), mono(t1, t2, (q, -1))),
+        mono(q), circle_node)

@@ -8,15 +8,25 @@ the partial sum, and raise DivergenceError after ``_MAX_TERMS`` terms;
 hyper_2f1 uses ``_HYPER_2F1_EPS`` and ``_HYPER_2F1_MAX_TERMS`` instead.
 These are module constants, so every caller truncates the same way; a
 QContext carries only the base q.
+
+``TerminatingPhi`` is the array kernel for the biorthogonal members: a
+terminating r+1 phi r series whose parameters and argument are each a
+constant times q^(jn) times e^(+-1) (``mono``), with e the node variable a
+model maps its nodes to (``circle_node``, ``segment_node``, ``sinh_node``).
+It forms the parameters and sums over a whole node array in double-double,
+finds the stop once, checks the lower factors for poles in one array test,
+and reports the cancellation condition, raising PrecisionError past
+``_DD_REACH``.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, PoleError
+from .errors import DivergenceError, DomainError, PoleError, PrecisionError
 
 INF = math.inf
 
@@ -42,6 +52,11 @@ __all__ = [
     "basic_phi",
     "w87",
     "gamma_fn",
+    "mono",
+    "TerminatingPhi",
+    "circle_node",
+    "segment_node",
+    "sinh_node",
 ]
 
 
@@ -58,11 +73,16 @@ class QContext:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Value of a truncated sum plus the bookkeeping behind the truncation."""
+    """Value of a truncated sum plus the bookkeeping behind the truncation.
+
+    ``condition`` is the cancellation condition sum |term| / |sum term|
+    where the summing routine computes it (``TerminatingPhi``), else None.
+    """
 
     value: complex
     terms_used: int
     tail_bound: float
+    condition: float = None
 
 
 def shifted_factorial(a, n):
@@ -286,3 +306,304 @@ def gamma_fn(z):
         x += ci / (w + i)
     t = w + _LANCZOS_G + 0.5
     return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * x
+
+
+# -- terminating basic series over node arrays, in double-double -----------
+#
+# A double-double number is the unevaluated sum hi + lo of two doubles,
+# |lo| <= ulp(hi) / 2. ``_DD`` holds complex arrays hi and lo; Knuth's
+# two-sum and Dekker's split act on the real and imaginary parts at once.
+# numpy has no fused multiply-add, so products split their factors
+# (Dekker, Numer. Math. 18, 1971; Hida, Li & Bailey, ARITH 15, 2001).
+
+_SPLIT = 134217729.0  # 2**27 + 1
+_UNIT_DD = 2.0 ** -104
+# the largest condition * _UNIT_DD a member may carry; see PrecisionError
+_DD_REACH = 1e-11
+
+
+def _two_sum(a, b):
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _fast_two_sum(a, b):
+    s = a + b
+    return s, b - (s - a)
+
+
+def _split(a):
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+class _DD:
+    """Complex double-double arrays."""
+
+    __slots__ = ("hi", "lo")
+
+    def __init__(self, hi, lo):
+        self.hi, self.lo = hi, lo
+
+    @classmethod
+    def of(cls, z):
+        """Doubles, exactly. A Python complex stays a scalar: the node-free
+        constants are formed one by one, where numpy's per-call cost would
+        dominate."""
+        if isinstance(z, complex):
+            return cls(z, 0j)
+        z = np.asarray(z, dtype=complex)
+        return cls(z, np.zeros_like(z))
+
+    def __getitem__(self, index):
+        return _DD(self.hi[index], self.lo[index])
+
+    def __neg__(self):
+        return _DD(-self.hi, -self.lo)
+
+    def __add__(self, other):
+        s, e = _two_sum(self.hi, other.hi)
+        return _DD(*_fast_two_sum(s, e + (self.lo + other.lo)))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self.hi, other.hi
+        (ah, al), (bh, bl) = _split(a), _split(b)
+        # a times the real and the imaginary part of b, exactly: u + eu, v + ev
+        u, v = a * b.real, a * b.imag
+        eu = ((ah * bh.real - u) + ah * bl.real + al * bh.real) + al * bl.real
+        ev = ((ah * bh.imag - v) + ah * bl.imag + al * bh.imag) + al * bl.imag
+        s, f = _two_sum(u, 1j * v)
+        f = f + (eu + 1j * ev) + (a * other.lo + self.lo * b)
+        return _DD(*_fast_two_sum(s, f))
+
+    def __truediv__(self, other):
+        # the quotient in double, corrected once by its residual
+        q = self.hi / other.hi
+        r = self - other * _DD.of(q)
+        return _DD(*_fast_two_sum(q, r.hi / other.hi))
+
+    def sqrt(self):
+        """The root next to the principal root of hi; exactly 0 at 0."""
+        s = np.sqrt(self.hi)
+        r = self - _DD.of(s) * _DD.of(s)
+        zero = s == 0
+        step = np.where(zero, 0.0, r.hi / (2.0 * np.where(zero, 1.0, s)))
+        return _DD(*_fast_two_sum(s, step))
+
+
+_ONE = _DD.of(1.0)
+
+
+def circle_node(t):
+    """The node itself as the series variable e, for a contour in t."""
+    return _DD.of(t)
+
+
+def segment_node(x):
+    """e = x + sqrt(x - 1) sqrt(x + 1), so that e + 1/e = 2x.
+
+    On [-1, 1] this is x + i sqrt(1 - x^2), and at x = +-1 the root of 0 is
+    exactly 0. Off the segment it is the root of modulus above 1.
+    """
+    X = _DD.of(x)
+    return X + (X - _ONE).sqrt() * (X + _ONE).sqrt()
+
+
+def sinh_node(z):
+    """e = exp(asinh z) = z + sqrt(z^2 + 1), so that e - 1/e = 2z.
+
+    The sign of the root is taken per node so that the sum does not
+    cancel; the two choices are e and -1/e.
+    """
+    Z = _DD.of(z)
+    w = (Z * Z + _ONE).sqrt()
+    sign = np.where((Z.hi * w.hi.conj()).real < 0.0, -1.0, 1.0)
+    return Z + _DD(sign * w.hi, sign * w.lo)
+
+
+def mono(*factors, e=0):
+    """A series parameter prod(v ** k) * node ** e.
+
+    Each factor is a model double v (exponent 1) or a pair (v, k) with k a
+    multiple of 1/2, such as (q, n - 1) or (q, 0.5); e is -1, 0 or 1.
+    """
+    return tuple(f if isinstance(f, tuple) else (f, 1) for f in factors), e
+
+
+@functools.lru_cache(maxsize=1024)
+def _monomial(factors):
+    """prod(v ** k) over a parameter's factors, formed in double-double.
+
+    Members of one family share most of their constants, so each is formed
+    once.
+    """
+    out = _DD.of(1 + 0j)
+    for v, k in factors:
+        base = _DD.of(complex(v))
+        if k < 0:
+            base = _DD.of(1 + 0j) / base
+        m, b = int(abs(k)), base
+        while m:
+            if m & 1:
+                out = out * b
+            m >>= 1
+            if m:
+                b = b * b
+        if abs(k) % 1:
+            out = out * base.sqrt()
+    return out
+
+
+def _monomials(params):
+    """The constants of ``params`` as one double-double array."""
+    ds = [_monomial(factors) for factors, _ in params]
+    return _DD(np.array([d.hi for d in ds]), np.array([d.lo for d in ds]))
+
+
+def _tree(x, combine, pad):
+    """x combined along axis 0 pairwise, as a tree; an odd row count is
+    padded with a row of ``pad``."""
+    while x.hi.shape[0] > 1:
+        if x.hi.shape[0] % 2:
+            x = _DD(np.concatenate([x.hi, np.full_like(x.hi[:1], pad)]),
+                    np.concatenate([x.lo, np.zeros_like(x.lo[:1])]))
+        x = combine(x[0::2], x[1::2])
+    return x[0]
+
+
+def _product(factors):
+    """The product along axis 0; 1 for no factors."""
+    return _tree(factors, _DD.__mul__, 1.0) if len(factors.hi) else _ONE
+
+
+@functools.lru_cache(maxsize=4)
+def _mapped(node, dtype, data, inverse):
+    """e at the nodes held in ``data``, with 1/e and e +- 1/e if asked.
+
+    Every member of a Gram matrix is evaluated on the same node arrays, so
+    the map runs once per array; the arrays are returned read-only.
+    """
+    e = node(np.frombuffer(data, dtype=dtype))
+    out = {1: e}
+    if inverse:
+        out[-1] = _ONE / e
+        out["+"], out["-"] = e + out[-1], e - out[-1]
+    for d in out.values():
+        d.hi.flags.writeable = d.lo.flags.writeable = False
+    return out
+
+
+def _pole_free(factor):
+    """A lower factor 1 - l q^k, refused where it vanishes."""
+    if np.any(np.abs(factor.hi) < _POLE_ATOL):
+        raise PoleError("zero denominator factor in TerminatingPhi")
+    return factor
+
+
+class TerminatingPhi:
+    """A terminating r+1 phi r series, summed over node arrays in double-double.
+
+    The series is sum_k prod (u; q)_k / ((q; q)_k prod (l; q)_k) z^k. Every
+    upper parameter u, lower parameter l and the argument z is given by
+    ``mono`` as a constant times a power of q and of the node variable e;
+    ``node`` maps a node array to e in double-double (``circle_node``,
+    ``segment_node`` or ``sinh_node``). The kernel forms every parameter in
+    double-double from the model's own doubles, so that the exact relations
+    between them (q^-n against q^n, conjugate pairs, shared factors)
+    survive rounding. The stop, the smallest m with an upper parameter free
+    of e equal to q^-m, is found once, and the factors free of e are formed
+    once, here; a call sums over its whole node array at once.
+
+    Calling the object returns the sums as doubles, in the nodes' shape.
+    ``sum`` returns them in a SeriesResult whose ``condition`` is the max
+    over the nodes of sum |term| divided by the max over the nodes of
+    |sum term|. A call raises PrecisionError when condition * 2^-104
+    exceeds ``_DD_REACH``, and PoleError when a lower factor vanishes at a
+    node.
+    """
+
+    def __init__(self, q, upper, lower, arg, node):
+        if len(upper) != len(lower) + 1:
+            raise DomainError("TerminatingPhi sums r+1 phi r series only")
+        free = [math.prod(complex(v) ** k for v, k in factors)
+                for factors, e in upper if e == 0]
+        stop = _termination_index(QContext(q), free, _MAX_TERMS)
+        if stop is None:
+            raise DomainError("TerminatingPhi needs an upper parameter q^-m")
+        # (q; q)_k counts as one more lower parameter, q
+        params = [*upper, *lower, mono(q)]
+        n = len(params)
+        c = _monomials([*params, arg] + [mono((q, k)) for k in range(stop)])
+        coef = c[:n, None] * c[None, n + 1:]   # each parameter times q^k
+        up = np.arange(n) < len(upper)
+        e = np.array([p[1] for p in params])
+        # the factors free of e make rho_k, with the argument if it is free
+        free, top = _ONE - coef[e == 0], up[e == 0]
+        self.rho = (_product(free[top])
+                    / _product(_pole_free(free[~top])))[:, None]
+        if arg[1] == 0:
+            self.rho = self.rho * c[n]
+        # the e-dependent factors 1 - c e^s, formed per call, as
+        # (head, c, key, upper) with factor head - c * pick[key]; a pair
+        # c e, +-c/e on one side folds into 1 +- c^2 - c (e +- 1/e)
+        self.dep, rows = [], [i for i in range(n) if e[i]]
+        while rows:
+            i = rows.pop(0)
+            entry = (_ONE, coef[i, :, None], e[i], up[i])
+            for j in rows:
+                same = c.hi[j] == c.hi[i] and c.lo[j] == c.lo[i]
+                opposite = c.hi[j] == -c.hi[i] and c.lo[j] == -c.lo[i]
+                if e[j] == -e[i] and up[j] == up[i] and (same or opposite):
+                    rows.remove(j)
+                    plus = coef[i if e[i] > 0 else j]
+                    square = plus * plus
+                    head = _ONE + (square if same else -square)
+                    entry = (head[:, None], plus[:, None], "+" if same else "-",
+                             up[i])
+                    break
+            self.dep.append(entry)
+        self.stop, self.node, self.arg = stop, node, (c[n], arg[1])
+        self.inverse = bool((e < 0).any()) or arg[1] < 0
+
+    def sum(self, x):
+        x = np.asarray(x)
+        flat = np.ascontiguousarray(x.reshape(-1))
+        pick = _mapped(self.node, flat.dtype.str, flat.tobytes(), self.inverse)
+        # R[k] = term k+1 / term k at every node, a fresh array
+        num, den = self.rho, _ONE
+        for head, coef, key, upper in self.dep:
+            f = head - coef * pick[key]
+            if upper:
+                num = num * f
+            else:
+                den = den * _pole_free(f)
+        R = num / den
+        if self.arg[1]:
+            R = R * (self.arg[0] * pick[self.arg[1]])
+        # term k+1 is R[0] ... R[k]: a doubling scan, then a tree sum
+        d = 1
+        while d < self.stop:
+            step = R[d:] * R[:-d]
+            R.hi[d:], R.lo[d:] = step.hi, step.lo
+            d *= 2
+        S = _DD.of(np.ones(x.size))
+        if self.stop:
+            S = S + _tree(R, _DD.__add__, 0.0)
+        value = S.hi + S.lo
+        total = 1.0 + np.abs(R.hi).sum(axis=0)
+        top = np.abs(value).max()
+        condition = float(total.max() / top) if top > 0.0 else INF
+        if condition * _UNIT_DD > _DD_REACH:
+            raise PrecisionError(
+                f"the series cancels past double-double: condition "
+                f"{condition:.3g} at stop {self.stop}")
+        return SeriesResult(value.reshape(x.shape)[()], self.stop + 1, 0.0,
+                            condition)
+
+    def __call__(self, x):
+        return self.sum(x).value

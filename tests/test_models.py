@@ -9,14 +9,13 @@ import pytest
 
 import rfrac.models.base as base
 from rfrac.errors import (BranchBoundaryError, ConvergenceError, DomainError,
-                          OutOfSpanError)
+                          OutOfSpanError, PrecisionError)
 from rfrac.models import (
     MODEL_NAMES,
     biorth,
     instantiate,
     minimal_closed_form,
 )
-from rfrac.models.sinh_lattice import rational_grid
 from rfrac.qseries import QContext, multi_q_pochhammer, q_pochhammer
 from rfrac.recurrence import (R_II, forward, minimal_solution_backward,
                               pincherle_residual)
@@ -110,6 +109,11 @@ def test_cheby_rational_zero_parameter_corner():
     m = instantiate("ChebyRational51", {"q": 0.5, "alpha": 0.0, "delta": 0.0})
     fam = biorth(m)
     assert abs(fam.norm(0) - 1.0) < 1e-15
+    # the members past the constant vanish identically: no digit is left
+    x = np.linspace(-1.0, 1.0, 5)
+    assert np.all(fam.left(0)(x) == 1.0)
+    with pytest.raises(PrecisionError):
+        fam.left(2)(x)
     # the coefficient maps divide by alpha*delta, so the ladder solution is
     # unavailable there and says so
     with pytest.raises(DomainError):
@@ -275,33 +279,36 @@ def test_family_norms_nonzero_and_same_on_model_copy(name):
         assert copied.norm(n) == fam.norm(n)
 
 
-# the models that publish a closed numerator polynomial as extras["poly"]
-@pytest.mark.parametrize("name", ("Pastro21", "ChebyshevR2_31", "Cauchy2F1_32",
-                                  "UnitCircle41", "SinhLattice42"))
+# the models that publish a closed numerator polynomial as extras["poly"],
+# with the degree the check runs to: the series models' polynomials are
+# summed in double-double and hold to degree 8
+POLY_TOP = {"Pastro21": 3, "ChebyshevR2_31": 3, "Cauchy2F1_32": 3,
+            "UnitCircle41": 8, "SinhLattice42": 8}
+
+
+@pytest.mark.parametrize("name", POLY_TOP)
 def test_closed_polynomial_matches_forward(name):
-    # low degrees only: past n ~ 5 the closed terminating series cancels
+    top = POLY_TOP[name]
     m = build(name)
     poly = m.extras["poly"]
     for z in POINTS[name]:
-        pq = forward(m.spec, z, 3)
-        for n in range(4):
+        pq = forward(m.spec, z, top)
+        for n in range(top + 1):
             want = pq.p(n)
             assert abs(poly(n, z) - want) < 1e-10 * abs(want), (n, z)
 
 
 def test_sinh_lattice_closure_ratio():
     # P_n(z) / prod_{j=1..n} (z - b_{j+1}) is closure_ratio(n) times the
-    # grid member; stops at n = 4, past which the terminating series cancels
+    # grid member, to degree 8
     m = build("SinhLattice42")
-    pp = m.params
-    ctx = QContext(pp["q"])
+    fam = biorth(m)
     for z in POINTS["SinhLattice42"]:
-        pq = forward(m.spec, z, 4)
+        pq = forward(m.spec, z, 8)
         head = 1.0
-        for n in range(1, 5):
+        for n in range(1, 9):
             head *= z - m.spec.b(n + 1)
-            want = m.extras["closure_ratio"](n) * rational_grid(
-                ctx, pp["t1"], pp["t2"], pp["t3"], pp["t4"], n, z)
+            want = m.extras["closure_ratio"](n) * fam.left(n)(z)
             assert abs(pq.p(n) / head - want) < 1e-10 * abs(want), (n, z)
 
 

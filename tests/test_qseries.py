@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfrac import qseries
-from rfrac.errors import DivergenceError, DomainError, PoleError
+from rfrac.errors import DivergenceError, DomainError, PoleError, PrecisionError
 from rfrac.qseries import (
     _SERIES_EPS,
     _TERMINATION_RTOL,
@@ -345,3 +345,135 @@ def test_q_pfaff_saalschutz_random_draws():
             / (q_pochhammer(ctx, c, n) * q_pochhammer(ctx, c / (a * b), n))
         )
         assert lhs.value == pytest.approx(rhs, rel=1e-11)
+
+
+# -- the double-double member kernel ---------------------------------------
+
+THETA_NODES = np.cos(np.linspace(0.0, math.pi, 41))   # x = 1 and x = -1 included
+
+
+def _mp_phi(mp, q, upper, lower, z, stop):
+    total = term = mp.mpc(1)
+    for k in range(stop):
+        num = mp.mpc(1)
+        for u in upper:
+            num *= 1 - u * q ** k
+        den = 1 - q ** (k + 1)
+        for l in lower:
+            den *= 1 - l * q ** k
+        term *= num / den * z
+        total += term
+    return total
+
+
+def _member_cases(mp, q):
+    """(kernel member, nodes, mpmath parameters at e) per model, degree n."""
+    from rfrac.models.cheby_rational import ladder_member
+    from rfrac.models.rahman import balanced_member, plain_member
+    from rfrac.models.sinh_lattice import grid_member
+    from rfrac.models.unit_circle import first_member
+
+    Q = mp.mpf(q)
+    al, be, de = 0.33, 0.31, 0.17
+    A, B, D = mp.mpf(al), mp.mpf(be), mp.mpf(de)
+    P, RB = A * B * B * D, mp.sqrt(B)
+    t1, t2, t3, t4, a, b = 0.19, 0.27, 0.42, 0.11, 0.3, 0.22
+    T1, T2, T3, T4, Aa, Bb = (mp.mpf(v) for v in (t1, t2, t3, t4, a, b))
+    Pc = Aa * Bb * T1 * T2
+    circle = np.exp(1j * np.linspace(-math.pi, math.pi, 33))
+    grid = np.concatenate([[-1.0, 1.0], 0.5 * (t3 * q ** -np.arange(1.0, 12.0)
+                                              - q ** np.arange(1.0, 12.0) / t3)])
+
+    def segment(x):
+        x = mp.mpf(x)
+        return x + mp.sqrt(x - 1) * mp.sqrt(x + 1)
+
+    def sinh(z):
+        z = mp.mpf(z)
+        return z + mp.sqrt(z * z + 1)
+
+    return [
+        ("ladder", lambda n: ladder_member(q, al, de, n), THETA_NODES, segment,
+         lambda n, e: ([Q ** -n, A * D * Q ** n, A * e, A / e],
+                       [A * D, Q * A * e, Q * A / e])),
+        ("plain", lambda n: plain_member(q, al, be, de, n), THETA_NODES, segment,
+         lambda n, e: ([Q ** -n, P * Q ** (n - 1), D * e, D / e],
+                       [A * D, B * D * e, B * D / e])),
+        ("balanced", lambda n: balanced_member(q, al, be, de, n), THETA_NODES,
+         segment,
+         lambda n, e: ([Q ** -n, P * Q ** (n - 1), A * e, A / e, Q * A * RB,
+                        -Q * A * RB],
+                       [A * D, Q * A * B * e, Q * A * B / e, A * RB, -A * RB])),
+        ("circle", lambda n: first_member(q, a, b, t1, t2, n, -1), circle,
+         lambda t: 1 / mp.mpc(t),
+         lambda n, z: ([Q ** -n, Pc * Q ** (n - 1), T2 * z / mp.sqrt(Q), T2],
+                       [Aa * T2 * z * mp.sqrt(Q), Bb * T2, T1 * T2 / Q])),
+        ("grid", lambda n: grid_member(q, t1, t2, t3, t4, n), grid, sinh,
+         lambda n, e: ([Q ** -n, -T1 * T2 * Q ** (n - 2), -T1 * T3 / Q,
+                        -T1 * T4 / Q],
+                       [-T1 * e, T1 / e, T1 * T2 * T3 * T4 / Q ** 3])),
+    ]
+
+
+@pytest.mark.parametrize("q", [0.41, 0.6])
+def test_member_kernel_matches_mpmath(q):
+    # error relative to the member's largest value over the nodes; the
+    # bound is the double rounding of the result plus the cancellation
+    # the kernel itself reports. Degrees <= 7 (the gram workload's) must
+    # return; degrees 8 and 9 return or raise PrecisionError.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    for name, member, nodes, node_map, params in _member_cases(mp, q):
+        for n in range(10):
+            try:
+                res = member(n).sum(nodes)
+            except PrecisionError:
+                assert n >= 8, (name, n)
+                continue
+            ref = []
+            for x in nodes:
+                upper, lower = params(n, node_map(x))
+                ref.append(complex(_mp_phi(mp, mp.mpf(q), upper, lower,
+                                           mp.mpf(q), n)))
+            ref = np.array(ref)
+            err = np.max(np.abs(res.value - ref)) / np.max(np.abs(ref))
+            bound = 2.0 ** -52 + 32.0 * res.condition * 2.0 ** -104
+            assert np.all(np.isfinite(res.value)), (name, n)
+            assert err <= bound, (name, q, n, err, res.condition)
+
+
+def test_member_kernel_raises_past_its_reach():
+    # Rahman52 at q = 0.44, degree 11: its double-double error is about
+    # 2.5e-2 of the member's size, so the member refuses
+    from rfrac.models import biorth, instantiate
+
+    fam = biorth(instantiate("Rahman52", {"q": 0.44, "alpha": 0.2,
+                                          "beta": 0.3, "delta": 0.1}))
+    with pytest.raises(PrecisionError, match="condition"):
+        fam.right(11)(THETA_NODES)
+    assert np.all(np.isfinite(fam.right(7)(THETA_NODES)))
+
+
+def test_member_kernel_poles_and_form():
+    from rfrac.qseries import TerminatingPhi, circle_node, mono
+
+    q = 0.5
+    # 1 - (q t) q^0 vanishes at t = 2: one array test over the nodes
+    series = TerminatingPhi(q, (mono((q, -3)), mono(0.3)), (mono(q, e=1),),
+                            mono(q), circle_node)
+    assert np.all(np.isfinite(series(np.array([1.0, 3.0]))))
+    with pytest.raises(PoleError):
+        series(np.array([1.0, 2.0, 4.0]))
+    # a node-free lower factor 1 - q^0 vanishes at once
+    with pytest.raises(PoleError):
+        TerminatingPhi(q, (mono((q, -3)), mono(0.3)), (mono(1.0),), mono(q),
+                       circle_node)
+    # only terminating r+1 phi r series
+    with pytest.raises(DomainError):
+        TerminatingPhi(q, (mono(0.3), mono(0.2)), (mono(0.1),), mono(q),
+                       circle_node)
+    with pytest.raises(DomainError):
+        TerminatingPhi(q, (mono((q, -3)),), (mono(0.1),), mono(q), circle_node)
+    # a scalar node gives a scalar
+    value = series(3.0)
+    assert np.ndim(value) == 0 and np.isfinite(value)
