@@ -1,24 +1,26 @@
-"""Spectral measures in their four concrete shapes, plus quadrature engines.
+"""Spectral measures in their four concrete shapes, plus quadrature rules.
 
 Densities, weights and integrands always arrive as closures from the
 caller; this module only integrates them. Every closure takes an array of
 nodes and returns an array of the same shape; there is no scalar fallback,
 and a closure that returns anything else raises TypeError.
 
-Every engine is a rule n -> (nodes, weights), and one ladder refines it by
-node doublings, starting at ``_NODES`` nodes and doubling at most
+Every measure has a rule n -> (nodes, weights), and one ladder refines it
+by node doublings, starting at ``_NODES`` nodes and doubling at most
 ``_MAX_REFINEMENTS`` times. The stopping test is per entry: a value is
 accepted at the first doubling that moves it by
 |Δ| <= ``_TOL`` * max(1, |value|), an absolute test while |value| < 1 and a
-relative one above, so a reported value carries its own stability check. A
-discrete measure is a fixed rule: its nodes and weights are its points,
-and the ladder sums every point once, in one level. The vertical line is a
-trapezoid rule in u with Im t = sinh(u) on the window |u| <=
-``_LINE_WINDOW`` * sqrt(n): algebraic tails of the density decay
-exponentially in u, and a window that widens with n lets the truncation
-and discretization errors fall together. These are module constants, so
-every caller integrates the same way. Reductions run in a fixed index
-order, which keeps results bit-stable.
+relative one above, so a reported value carries its own stability check.
+There are two rule builders. ``_gauss_legendre_rule`` takes an interval
+weight w(x), on 16-point panels. ``_rule`` takes the rest: a discrete
+measure is its points, summed once in one level, and every other shape is
+the midpoint rule in one variable v: the angle on the circle, the angle of
+x = cos v for a [-1, 1] angle density, and Im t = sinh((pi/2) sinh v),
+|v| < ``_LINE_WINDOW``, on the vertical line. That double-exponential map
+turns the line density's algebraic tails into doubly exponential ones, so
+every midpoint rule converges geometrically in n. These are module
+constants, so every caller integrates the same way. Reductions run in a
+fixed index order, which keeps results bit-stable.
 """
 
 import math
@@ -52,8 +54,7 @@ DISCRETE = "discrete"
 _NODES = 64
 _TOL = 1e-10
 _MAX_REFINEMENTS = 10
-_LINE_WINDOW = 1.0
-_LINE_WINDOW_CAP = 36.0
+_LINE_WINDOW = 4.2
 
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
@@ -63,10 +64,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 class Measure:
     """One of four support shapes; see the constructor helpers below.
 
-    ``chebyshev_second_kind`` declares that an interval weight carries a
-    sqrt(1-x^2) factor, switching integration to the matching Gauss rule.
-    ``theta_density`` optionally supplies w(cos t)*sin t directly for
-    [-1, 1] weights whose natural form lives on the angle variable.
+    An interval carries exactly one of ``weight``, the density w(x) in x,
+    or ``theta_density``, the angle density w(cos t) sin t on [0, pi]. The
+    angle density is accepted only on [-1, 1], where x = cos t.
     """
 
     variant: str
@@ -75,7 +75,6 @@ class Measure:
     lo: float = None
     hi: float = None
     weight: object = None
-    chebyshev_second_kind: bool = False
     theta_density: object = None
     re: float = None
     points: tuple = None
@@ -92,10 +91,12 @@ class Measure:
                 raise DomainError("interval needs lo < hi")
             if math.isinf(self.hi) or (math.isinf(self.lo) and self.lo > 0):
                 raise DomainError("only a left-infinite interval is supported")
-            if self.weight is None:
-                raise DomainError("interval needs a weight")
-            if self.chebyshev_second_kind and (self.lo, self.hi) != (-1.0, 1.0):
-                raise DomainError("the Chebyshev rule lives on [-1, 1]")
+            if (self.weight is None) == (self.theta_density is None):
+                raise DomainError("interval needs exactly one of a weight "
+                                  "and an angle density")
+            if (self.theta_density is not None
+                    and (self.lo, self.hi) != (-1.0, 1.0)):
+                raise DomainError("an angle density lives on [-1, 1]")
         elif self.variant == LINE:
             if self.re is None or self.density is None:
                 raise DomainError("vertical line needs re and a density")
@@ -114,9 +115,10 @@ def circle_contour(radius, density):
     return Measure(variant=CIRCLE, radius=float(radius), density=density)
 
 
-def interval(lo, hi, weight, chebyshev_second_kind=False, theta_density=None):
+def interval(lo, hi, weight=None, theta_density=None):
+    """Interval [lo, hi], finite or left-infinite; see Measure for the
+    weight and the angle density."""
     return Measure(variant=INTERVAL, lo=float(lo), hi=float(hi), weight=weight,
-                   chebyshev_second_kind=chebyshev_second_kind,
                    theta_density=theta_density)
 
 
@@ -198,40 +200,10 @@ def _ladder(m, left, right):
         f"{_MAX_REFINEMENTS} doublings; open entries (i, j): {entries}")
 
 
-# -- the four engines: n -> (nodes, weights) ----------------------------------
+# -- the two rule builders: n -> (nodes, weights) ----------------------------
 #
 # The weights carry the density, the Jacobian of any map and the rule
-# weights, so every engine integrates f as sum(f(nodes) * weights).
-
-
-def _circle_rule(m):
-    def rule(n):
-        theta = 2.0 * math.pi * np.arange(n) / n
-        t = m.radius * np.exp(1j * theta)
-        dv = _eval_nodes(m.density, theta)
-        return t, dv * 1j * t * (2.0 * math.pi / n)
-    return rule
-
-
-def _chebyshev_rule(m):
-    # nodes cos(j pi/(n+1)); the weight's sqrt factor is divided back out
-    def rule(n):
-        theta = np.arange(1, n + 1) * math.pi / (n + 1)
-        x = np.cos(theta)
-        s = np.sin(theta)
-        wv = _eval_nodes(m.weight, x)
-        return x, (wv / s) * (math.pi / (n + 1)) * s * s
-    return rule
-
-
-def _theta_rule(m):
-    # trapezoid on [0, pi] for integrands given as w(cos t) sin t
-    def rule(n):
-        theta = np.linspace(0.0, math.pi, n + 1)
-        w = _eval_nodes(m.theta_density, theta) * (math.pi / n)
-        w[[0, -1]] *= 0.5
-        return np.cos(theta), w
-    return rule
+# weights, so every rule integrates f as sum(f(nodes) * weights).
 
 
 def _gauss_legendre_rule(m):
@@ -254,39 +226,39 @@ def _gauss_legendre_rule(m):
     return rule
 
 
-def _line_rule(m):
-    # n points of spacing h in u, y = sinh(u), centred on u = 0 and filling
-    # |u| < min(_LINE_WINDOW sqrt(n), _LINE_WINDOW_CAP); the cap keeps the
-    # members' powers of y far from overflow
-    def rule(n):
-        h = 2.0 * min(_LINE_WINDOW * math.sqrt(n), _LINE_WINDOW_CAP) / n
-        u = (np.arange(n) - 0.5 * (n - 1)) * h
-        y = np.sinh(u)
-        dv = _eval_nodes(m.density, y)
-        return m.re + 1j * y, h * dv * np.cosh(u)
-    return rule
-
-
-def _discrete_rule(m):
-    t = np.array([p[0] for p in m.points], dtype=complex)
-    w = np.array([p[1] for p in m.points], dtype=complex)
-    return lambda n: (t, w)
-
-
 def _rule(m):
+    """n -> (nodes, weights); the midpoint rule maps v -> (t, density dt/dv)."""
     if m.variant == DISCRETE:
-        return _discrete_rule(m)
+        t = np.array([p[0] for p in m.points], dtype=complex)
+        w = np.array([p[1] for p in m.points], dtype=complex)
+        return lambda n: (t, w)
     if m.variant == CIRCLE:
-        return _circle_rule(m)
-    if m.variant == LINE:
-        return _line_rule(m)
-    if m.variant == INTERVAL:
-        if m.chebyshev_second_kind:
-            return _chebyshev_rule(m)
-        if m.theta_density is not None:
-            return _theta_rule(m)
+        lo, hi = 0.0, 2.0 * math.pi
+
+        def mapped(v):
+            t = m.radius * np.exp(1j * v)
+            return t, _eval_nodes(m.density, v) * 1j * t
+    elif m.variant == LINE:
+        lo, hi = -_LINE_WINDOW, _LINE_WINDOW
+
+        def mapped(v):
+            s = 0.5 * math.pi * np.sinh(v)
+            y = np.sinh(s)
+            jac = 0.5 * math.pi * np.cosh(v) * np.cosh(s)
+            return m.re + 1j * y, _eval_nodes(m.density, y) * jac
+    elif m.theta_density is not None:
+        lo, hi = 0.0, math.pi
+
+        def mapped(v):
+            return np.cos(v), _eval_nodes(m.theta_density, v)
+    else:
         return _gauss_legendre_rule(m)
-    raise DomainError(f"unknown measure variant {m.variant!r}")
+
+    def rule(n):
+        h = (hi - lo) / n
+        t, dt = mapped(lo + (np.arange(n) + 0.5) * h)
+        return t, dt * h
+    return rule
 
 
 def _one(t):

@@ -13,8 +13,8 @@ The model modules build those closures from the shared pieces here:
   prod (c x^k; q)_inf, k in {-2, -1, 1, 2}, that every q-model measure is;
 - ``theta_interval``: a [-1, 1] measure given by its angle density;
 - ``PrefixProduct``: cached prefix products of a coefficient map;
-- ``fraction_from_minimal``: the fraction value from the closed minimal
-  solution;
+- ``closed_denominator`` and ``fraction_from_minimal``: the closed minimal
+  solution's denominator, and the fraction value from that solution;
 - ``branch_guard``: the check that z is off the curve separating two
   closed-form branches;
 - ``joukowski_split``, ``joukowski_outer_root`` and ``exp_sinh_inverse``:
@@ -31,18 +31,17 @@ takes and returns node arrays.
 import cmath
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import (BranchBoundaryError, DomainError, PoleError,
                       SupportProximityError)
 from ..measures import interval
-from ..qseries import q_pochhammer
+from ..qseries import multi_q_pochhammer, q_pochhammer
 
 __all__ = [
     "BiorthFamily",
     "ModelSpec",
     "PrefixProduct",
     "branch_guard",
+    "closed_denominator",
     "exp_sinh_inverse",
     "fraction_from_minimal",
     "joukowski_outer_root",
@@ -173,6 +172,21 @@ class PrefixProduct:
         return self.vals[n]
 
 
+def closed_denominator(ctx, avals):
+    """The q-product denominator of a closed minimal solution.
+
+    At an interpolation point a factor can vanish exactly; the fraction
+    there is its finite approximant, but the closed form has no value, so
+    an exact 0 raises PoleError. There is no tolerance: every nonzero
+    denominator keeps its value.
+    """
+    den = multi_q_pochhammer(ctx, avals)
+    if den == 0:
+        raise PoleError("a denominator factor of the closed minimal "
+                        "solution vanishes at this point")
+    return den
+
+
 def fraction_from_minimal(minimal, c):
     """The fraction value z -> x_0 / ((z - c(1)) x_0 - x_1).
 
@@ -216,8 +230,4 @@ def q_product_weight(ctx, const, num, den):
 
 def theta_interval(theta_density):
     """The [-1, 1] measure whose angle density is w(cos t) sin t."""
-    def weight(x):
-        xv = np.asarray(x, dtype=float)
-        return theta_density(np.arccos(xv)) / np.sqrt(1.0 - xv * xv)
-
-    return interval(-1.0, 1.0, weight, theta_density=theta_density)
+    return interval(-1.0, 1.0, theta_density=theta_density)

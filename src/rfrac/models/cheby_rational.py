@@ -18,13 +18,13 @@ import math
 
 import numpy as np
 
-from ..measures import interval, normalization
-from ..qseries import (QContext, TerminatingPhi, mono, multi_q_pochhammer,
-                       q_pochhammer, segment_node)
+from ..measures import normalization
+from ..qseries import (QContext, TerminatingPhi, mono, q_pochhammer,
+                       segment_node)
 from ..recurrence import R_II, RecurrenceSpec
-from .base import (BiorthFamily, ModelSpec, PrefixProduct,
+from .base import (BiorthFamily, ModelSpec, PrefixProduct, closed_denominator,
                    fraction_from_minimal, joukowski_outer_root, require,
-                   real_base)
+                   real_base, theta_interval)
 from .rahman import recurrence_maps
 
 NAME = "ChebyRational51"
@@ -38,13 +38,17 @@ def _checked(params):
     return q, al, de
 
 
-def _weight(al, de):
-    def weight(x):
-        return (2.0 / math.pi) * np.sqrt(1.0 - x * x) / (
+def _measure(al, de):
+    """The weight by its angle density (2/pi) sin^2 t / ((1 - 2 alpha cos t
+    + alpha^2)(1 - 2 delta cos t + delta^2)), x = cos t."""
+    def theta_density(theta):
+        x = np.cos(theta)
+        s = np.sin(theta)
+        return (2.0 / math.pi) * s * s / (
             (1.0 - 2.0 * al * x + al * al)
             * (1.0 - 2.0 * de * x + de * de))
 
-    return weight
+    return theta_interval(theta_density)
 
 
 def build(params):
@@ -59,7 +63,7 @@ def build(params):
                 "alpha != 0 and delta != 0 for the closed solution")
         uu = joukowski_outer_root(z)
         num = q_pochhammer(ctx, al * de * q ** (2 * n + 1))
-        den = multi_q_pochhammer(ctx, (
+        den = closed_denominator(ctx, (
             q ** (n + 1), al * q ** (n + 1) * uu, al * de * q ** n,
             de * q ** (n + 1) * uu))
         return (2.0 * uu) ** -n * num / (den * uprod(n))
@@ -73,7 +77,7 @@ def build(params):
         return (2.0 / uu * (1.0 - al * de * q)
                 / ((1.0 - al / uu) * (1.0 - q) * (1.0 - de / uu)))
 
-    measure = interval(-1.0, 1.0, _weight(al, de), chebyshev_second_kind=True)
+    measure = _measure(al, de)
 
     def family():
         def left(m):
@@ -118,7 +122,6 @@ def elementary_mass(params):
     Returns (lhs, rhs): the quadrature value and 1/(1 - alpha*delta).
     """
     q, al, de = _checked(params)
-    m = interval(-1.0, 1.0, _weight(al, de), chebyshev_second_kind=True)
-    lhs = normalization(m)
+    lhs = normalization(_measure(al, de))
     rhs = 1.0 / (1.0 - al * de)
     return lhs, rhs

@@ -20,7 +20,7 @@ from ..measures import normalization
 from ..qseries import (QContext, TerminatingPhi, basic_phi, mono,
                        multi_q_pochhammer, q_pochhammer, segment_node, w87)
 from ..recurrence import R_II, RecurrenceSpec
-from .base import (BiorthFamily, ModelSpec, PrefixProduct,
+from .base import (BiorthFamily, ModelSpec, PrefixProduct, closed_denominator,
                    fraction_from_minimal, joukowski_outer_root,
                    q_product_weight, require, real_base, theta_interval)
 
@@ -107,7 +107,7 @@ def solution_ladder(ctx, al, be, de, uprod, n, z):
         p * q ** (2 * n - 1), al * q ** (n + 1) / u,
         be * q ** (n + 1) / (u * u), be * q ** (n + 1),
         de * q ** (n + 1) / u))
-    den = multi_q_pochhammer(ctx, (
+    den = closed_denominator(ctx, (
         q ** (n + 1), q ** (n + 2) / (u * u), al * be * q ** n * u,
         al * be * q ** n / u, al * de * q ** n, be * be * q ** n,
         be * de * q ** n * u, be * de * q ** n / u))

@@ -14,8 +14,8 @@ from ..measures import discrete
 from ..qseries import (QContext, TerminatingPhi, mono, multi_q_pochhammer,
                        q_pochhammer, sinh_node, w87)
 from ..recurrence import R_II, RecurrenceSpec
-from .base import (BiorthFamily, ModelSpec, PrefixProduct, exp_sinh_inverse,
-                   fraction_from_minimal, real_base, require)
+from .base import (BiorthFamily, ModelSpec, PrefixProduct, closed_denominator,
+                   exp_sinh_inverse, fraction_from_minimal, real_base, require)
 
 NAME = "SinhLattice42"
 
@@ -133,7 +133,7 @@ def _solution(ctx, t1, t2, t3, t4, uprod, uv, n, z):
         -t1 * t2 * q ** (2 * n - 2), -t1 * t4 * q ** n,
         e * q ** (n + 2) / t3, -q ** (n + 2) / (e * t3),
         -t2 * t4 * q ** (n - 1)))
-    den = multi_q_pochhammer(ctx, (
+    den = closed_denominator(ctx, (
         q ** (n + 1), q ** (n + 2) * t4 / t3, -t1 * e * q ** n,
         t1 * q ** n / e, t1 * t2 * t3 * t4 * q ** (n - 3),
         -q ** (n + 2) / (t3 * t4), -t2 * e * q ** (n - 1),

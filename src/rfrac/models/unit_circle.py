@@ -16,7 +16,7 @@ from ..qseries import (QContext, TerminatingPhi, circle_node, mono,
                        multi_q_pochhammer, q_pochhammer, w87)
 from ..recurrence import R_II, RecurrenceSpec
 from .base import (BiorthFamily, ModelSpec, PrefixProduct, branch_guard,
-                   q_product_weight, real_base, require)
+                   closed_denominator, q_product_weight, real_base, require)
 
 NAME = "UnitCircle41"
 
@@ -93,7 +93,7 @@ def _solution_outer(ctx, a, b, t1, t2, uprod, n, z):
     num = multi_q_pochhammer(ctx, (
         p * q ** (2 * n - 1), t2 * q ** (n + 1), a * q ** (n + 2),
         b * q ** n * rq * q / z, t1 * q ** n * rq / z))
-    den = multi_q_pochhammer(ctx, (
+    den = closed_denominator(ctx, (
         q ** (n + 1), q ** (n + 2) * rq / z, a * t2 * q ** n * rq * z,
         b * t2 * q ** n, t1 * t2 * q ** (n - 1), a * b * q ** (n + 1),
         a * t1 * q ** n, b * t1 * q ** (n - 1) * rq / z))
@@ -111,7 +111,7 @@ def _solution_inner(ctx, a, b, t1, t2, uprod, n, z):
     num = multi_q_pochhammer(ctx, (
         p * q ** (2 * n - 1), t2 * z * q ** n * rq, a * z * q ** (n + 1) * rq,
         b * q ** (n + 1), t1 * q ** n))
-    den = multi_q_pochhammer(ctx, (
+    den = closed_denominator(ctx, (
         q ** (n + 1), z * q ** (n + 1) * rq, a * t2 * z * q ** n * rq,
         b * t2 * q ** n, t1 * t2 * q ** (n - 1), a * b * q ** (n + 1),
         a * t1 * q ** n, b * t1 * q ** (n - 1) * rq / z))

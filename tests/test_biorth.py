@@ -81,6 +81,27 @@ def test_gram_matches_closed_norms(case):
                 assert abs(G[i][j]) < bound, (case, i, j)
 
 
+def test_line_gram_settles_by_512_nodes():
+    # the double-exponential line rule settles Cauchy2F1_32's order-8 Gram
+    # at its centre parameters by 512 nodes; the sqrt(n)-window trapezoid
+    # it replaced climbed to 2048
+    fam = biorth(instantiate("Cauchy2F1_32", PARAMS["Cauchy2F1_32"]))
+    sizes = []
+
+    def counted(member):
+        def at(i):
+            f = member(i)
+
+            def g(t):
+                sizes.append(np.size(t))
+                return f(t)
+            return g
+        return at
+
+    weighted_gram(fam.pairing, counted(fam.left), counted(fam.right), 8)
+    assert max(sizes) <= 512, sorted(set(sizes))
+
+
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_functional_values_match_quadrature(name):
     # the moment functional recovered from the coefficient maps alone must

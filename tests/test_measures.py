@@ -30,10 +30,10 @@ def unit_circle_cauchy():
 
 
 def chebyshev_unit_mass():
+    # the second-kind Chebyshev weight by its angle density, x = cos t
     return interval(
         -1.0, 1.0,
-        lambda x: (2.0 / math.pi) * np.sqrt(1.0 - x * x),
-        chebyshev_second_kind=True,
+        theta_density=lambda th: (2.0 / math.pi) * np.sin(th) ** 2,
     )
 
 
@@ -215,8 +215,14 @@ def test_measure_validation():
             circle_contour(bad, lambda th: 1.0)
     with pytest.raises(DomainError):
         vertical_line(math.nan, lambda y: 1.0)
+    # an angle density lives on [-1, 1] only, and an interval needs
+    # exactly one of a weight and an angle density
     with pytest.raises(DomainError):
-        interval(0.0, 2.0, lambda x: 1.0, chebyshev_second_kind=True)
+        interval(0.0, 2.0, theta_density=np.sin)
+    with pytest.raises(DomainError):
+        interval(-1.0, 1.0)
+    with pytest.raises(DomainError):
+        interval(-1.0, 1.0, lambda x: 1.0, theta_density=np.sin)
     with pytest.raises(DomainError):
         discrete([])
     with pytest.raises(DomainError):

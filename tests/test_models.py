@@ -340,3 +340,22 @@ def test_q_product_weight_calls_the_product_per_factor(monkeypatch):
     monkeypatch.setattr(base, "q_pochhammer", counting)
     w(np.exp(1j * np.linspace(0.0, 1.0, 5)))
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_closed_forms_at_interpolation_points(name):
+    # at a_k and b_k a factor of the closed minimal solution's denominator
+    # can vanish exactly; the closed forms then raise an rfrac.errors type,
+    # never a builtin exception
+    model = build(name)
+    for k in range(2, 12):
+        for z in model.spec.interpolation_points(k - 1):
+            calls = [lambda: model.cf_value(z)] + [
+                lambda n=n: minimal_closed_form(model, n, z) for n in range(3)]
+            for call in calls:
+                try:
+                    value = complex(call())
+                except Exception as exc:
+                    assert type(exc).__module__ == "rfrac.errors", (k, z, exc)
+                else:
+                    assert cmath.isfinite(value), (k, z)
