@@ -27,7 +27,6 @@ from .qseries import (
 from .recurrence import (
     R_I,
     R_II,
-    PQPair,
     RecurrenceSpec,
     convergents,
     forward,

@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, OutOfSpanError
-from .recurrence import R_I, R_II, RecurrenceSpec, _tail_root
+from .recurrence import _BACKWARD_TOL, R_I, R_II, _tail_root
 
 __all__ = [
     "MomentFunctional",
@@ -84,11 +84,11 @@ class MomentFunctional:
     on what was asked before it.
     """
 
-    def __init__(self, kind, spec, lam1=None, N0=None, N1=None):
-        self.kind = kind
+    def __init__(self, spec, lam1=None, N0=None, N1=None):
+        self.kind = spec.kind
         self.spec = spec
         # R_I: lam1 lam_2 ... lam_{n+1}; R_II: N_n
-        self.norms = ([complex(lam1)] if kind == R_I
+        self.norms = ([complex(lam1)] if self.kind == R_I
                       else [complex(N0), complex(N1)])
         self.basis_values = {}   # descriptor -> value
         self._rules = {}         # n -> the n-point PencilRule
@@ -215,7 +215,7 @@ def build_RI(spec):
     if spec.kind != R_I:
         raise DomainError("build_RI needs a kind R_I recurrence")
     lam1 = complex(spec.lam(1))
-    return MomentFunctional(R_I, spec, lam1=lam1 if lam1 != 0.0 else 1.0)
+    return MomentFunctional(spec, lam1=lam1 if lam1 != 0.0 else 1.0)
 
 
 def build_RII(spec, N0, N1):
@@ -227,7 +227,7 @@ def build_RII(spec, N0, N1):
         if abs(complex(pt) - c1) <= _PT_TOL * max(1.0, abs(c1)):
             raise DomainError(
                 f"{tag} = c_1 makes the first rational moment indeterminate")
-    return MomentFunctional(R_II, spec, N0=N0, N1=N1)
+    return MomentFunctional(spec, N0=N0, N1=N1)
 
 
 def kappa_tails(spec, jmax):
@@ -244,8 +244,9 @@ def kappa_tails(spec, jmax):
     - |mu_D| >= D (lambda_n tends to some L != 1/4): the frozen tail root,
       the smaller root of t^2 - t + lambda_D = 0 (recurrence._tail_root).
       Its error decays like the tail's own geometric rate. Roots tied in
-      modulus (lambda_n -> L > 1/4 real) leave no minimal solution and
-      raise ConvergenceError.
+      modulus (lambda_n -> L > 1/4 real) leave the lambda fraction no
+      minimal solution and raise ConvergenceError, as does a non-finite
+      lambda_D.
     - |mu_D| < D (lambda_n -> 1/4 like 1/4 - mu / n^2): the second-order
       seed 1/2 + beta / D, beta = (1 - sqrt(1 + 16 mu_D)) / 4, exact for
       lambda == 1/4. The fixed point is neutral, so the error of a sweep
@@ -263,9 +264,6 @@ def kappa_tails(spec, jmax):
     if jmax < 1:
         raise DomainError("jmax must be at least 1")
     lams = [0.0, 0.0]   # lambda_n at index n; the sweeps start at n = 2
-    # N_n = N_{n-1} - lambda_n N_{n-2} is the kind R_I recurrence with
-    # c = a = 0 at z = 1; its tail root reads the lambda_n already read
-    leading = RecurrenceSpec(R_I, c=_zero, lam=lams.__getitem__, a=_zero)
     rows, mus = [], []   # the parabolic ladder, reset on a change of seed
     prev = None
     D = max(_KAPPA_DEPTH, jmax + 2)
@@ -279,7 +277,13 @@ def kappa_tails(spec, jmax):
             s = cmath.sqrt(1.0 + 16.0 * _richardson(mus, 1.0)[0])
             est = _richardson(rows, s + 1.0)
         else:
-            seed = _tail_root(leading, 1.0, D)[0] if lams[D] != 0.0 else 0.0
+            if not cmath.isfinite(lams[D]):
+                raise ConvergenceError(f"lambda_{D} overflows")
+            seed, rate = _tail_root(1.0, lams[D]) if lams[D] else (0.0, 0.0)
+            if 1.0 - rate <= _BACKWARD_TOL:
+                raise ConvergenceError(
+                    "the lambda tails tie in modulus: the lambda fraction "
+                    "has no minimal solution")
             rows, mus = [], []
             est = _tail_sweep(lams, D, seed, jmax)
         if prev is not None:
@@ -290,10 +294,6 @@ def kappa_tails(spec, jmax):
         D *= 2
     raise ConvergenceError(
         f"kappa tails did not settle by depth {D // 2}")
-
-
-def _zero(n):
-    return 0.0
 
 
 def _tail_sweep(lams, D, t, jmax):

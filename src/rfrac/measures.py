@@ -7,10 +7,12 @@ and a closure that returns anything else raises TypeError.
 
 Every measure has a rule n -> (nodes, weights), and one ladder refines it
 by node doublings, starting at ``_NODES`` nodes and doubling at most
-``_MAX_REFINEMENTS`` times. The stopping test is per entry: a value is
-accepted at the first doubling that moves it by
-|Δ| <= ``_TOL`` * max(1, |value|), an absolute test while |value| < 1 and a
-relative one above, so a reported value carries its own stability check.
+``_MAX_REFINEMENTS`` times. The stopping test is per entry: the integral
+of f g dα is accepted at the first doubling that moves it by
+|Δ| <= ``_TOL`` * A, with A the integral of |f g| d|α| at that level, a
+test relative to the entry's own scale whatever its size, so a reported
+value carries its own stability check. A non-finite sum raises
+ConvergenceError at once.
 There are two rule builders. ``_gauss_legendre_rule`` takes an interval
 weight w(x), on 16-point panels. ``_rule`` takes the rest: a discrete
 measure is its points, summed once in one level, and every other shape is
@@ -105,6 +107,8 @@ class Measure:
         elif self.variant == DISCRETE:
             if not self.points:
                 raise DomainError("discrete measure needs mass points")
+            if not np.isfinite(np.array(self.points, dtype=complex)).all():
+                raise DomainError("discrete measure needs finite mass points")
         else:
             raise DomainError(f"unknown measure variant {self.variant!r}")
 
@@ -153,15 +157,21 @@ def _eval_rows(fs, pts):
 
 
 def _level_gram(rule, n, left, right):
-    """(L * w) @ R.T at the n-node level of a rule.
+    """G = (L * w) @ R.T and its scale A = (|L| |w|) @ |R|.T at the n-node
+    level of a rule; a non-finite G raises ConvergenceError.
 
     The node arrays live only in this frame, so an exception the ladder
     raises later does not keep them alive through its traceback.
     """
     t, w = rule(n)
     L = _eval_rows(left, t)
-    L *= w
-    return L @ _eval_rows(right, t).T
+    R = _eval_rows(right, t)
+    with np.errstate(all="ignore"):   # a non-finite sum raises below
+        G = (L * w) @ R.T
+        A = (np.abs(L) * np.abs(w)) @ np.abs(R).T
+    if not np.isfinite(G).all():
+        raise ConvergenceError(f"the quadrature sum is not finite at {n} nodes")
+    return G, A
 
 
 def _ladder(m, left, right):
@@ -175,20 +185,19 @@ def _ladder(m, left, right):
     """
     rule = _rule(m)
     if m.variant == DISCRETE:
-        return _level_gram(rule, len(m.points), left, right)
+        return _level_gram(rule, len(m.points), left, right)[0]
     G = np.zeros((len(left), len(right)), dtype=complex)
     open_ = np.ones(G.shape, dtype=bool)
     rows, cols = np.arange(len(left)), np.arange(len(right))
     n = _NODES
     for level in range(_MAX_REFINEMENTS + 1):
-        cur = _level_gram(rule, n, [left[i] for i in rows],
-                          [right[j] for j in cols])
+        cur, scale = _level_gram(rule, n, [left[i] for i in rows],
+                                 [right[j] for j in cols])
         block = np.ix_(rows, cols)
         prev, live = G[block], open_[block]
         G[block] = np.where(live, cur, prev)
         if level:
-            bound = _TOL * np.maximum(1.0, np.abs(cur))
-            open_[block] = live & ~(np.abs(cur - prev) <= bound)
+            open_[block] = live & ~(np.abs(cur - prev) <= _TOL * scale)
             if not open_.any():
                 return G
             rows = np.flatnonzero(open_.any(axis=1))

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..measures import vertical_line
 from ..qseries import gamma_fn, hyper_2f1, shifted_factorial
-from ..recurrence import R_II, RecurrenceSpec
+from ..recurrence import RecurrenceSpec
 from .base import BiorthFamily, ModelSpec, branch_guard, require
 
 NAME = "Cauchy2F1_32"
@@ -77,8 +77,7 @@ def build(params):
         return ((n - 1.0) * (n + a - 1.0 - b)
                 / ((2.0 * n + a - 1.0 - b) * (2.0 * n + a - 3.0 - b)))
 
-    spec = RecurrenceSpec(kind=R_II, c=c, lam=lam,
-                          a=lambda n: 0.0, b=lambda n: 1.0)
+    spec = RecurrenceSpec(c=c, lam=lam, a=lambda n: 0.0, b=lambda n: 1.0)
 
     def minimal(n, z):
         zc = complex(z)

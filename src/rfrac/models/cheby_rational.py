@@ -21,7 +21,7 @@ import numpy as np
 from ..measures import normalization
 from ..qseries import (QContext, TerminatingPhi, mono, q_pochhammer,
                        segment_node)
-from ..recurrence import R_II, RecurrenceSpec
+from ..recurrence import RecurrenceSpec
 from .base import (BiorthFamily, ModelSpec, PrefixProduct, closed_denominator,
                    fraction_from_minimal, joukowski_outer_root, require,
                    real_base, theta_interval)
@@ -56,7 +56,7 @@ def build(params):
     ctx = QContext(q)
     u, c, lam, amap, bmap = recurrence_maps(q, al, q, de)
     uprod = PrefixProduct(u)
-    spec = RecurrenceSpec(kind=R_II, c=c, lam=lam, a=amap, b=bmap)
+    spec = RecurrenceSpec(c=c, lam=lam, a=amap, b=bmap)
 
     def minimal(n, z):
         require(al != 0.0 and de != 0.0,

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import BranchBoundaryError
 from ..measures import interval
-from ..recurrence import R_II, RecurrenceSpec
+from ..recurrence import RecurrenceSpec
 from .base import BiorthFamily, ModelSpec, require
 
 NAME = "ChebyshevR2_31"
@@ -64,7 +64,7 @@ def build(params):
     rb = math.sqrt(b)
     rab = math.sqrt(a * b)
 
-    spec = RecurrenceSpec(kind=R_II, c=lambda n: -rab, lam=lambda n: 0.25,
+    spec = RecurrenceSpec(c=lambda n: -rab, lam=lambda n: 0.25,
                           a=lambda n: a, b=lambda n: b)
 
     def minimal(n, z):

@@ -14,7 +14,7 @@ import numpy as np
 from ..measures import circle_contour, stieltjes
 from ..qseries import (QContext, TerminatingPhi, basic_phi, circle_node, mono,
                        multi_q_pochhammer, q_pochhammer)
-from ..recurrence import R_I, RecurrenceSpec
+from ..recurrence import RecurrenceSpec
 from .base import (BiorthFamily, ModelSpec, branch_guard, q_product_weight,
                    real_base, require)
 
@@ -87,7 +87,7 @@ def build(params):
         return (rq * (1.0 - q ** (n - 1)) * (1.0 - a * b * q ** (n - 1))
                 / ((1.0 - a * q ** n) * (1.0 - a * q ** (n - 1))))
 
-    spec = RecurrenceSpec(kind=R_I, c=c, lam=lam, a=lambda n: 0.0)
+    spec = RecurrenceSpec(c=c, lam=lam, a=lambda n: 0.0)
 
     def minimal(n, z):
         zc = complex(z)

@@ -19,7 +19,7 @@ import numpy as np
 from ..measures import normalization
 from ..qseries import (QContext, TerminatingPhi, basic_phi, mono,
                        multi_q_pochhammer, q_pochhammer, segment_node, w87)
-from ..recurrence import R_II, RecurrenceSpec
+from ..recurrence import RecurrenceSpec
 from .base import (BiorthFamily, ModelSpec, PrefixProduct, closed_denominator,
                    fraction_from_minimal, joukowski_outer_root,
                    q_product_weight, require, real_base, theta_interval)
@@ -151,7 +151,7 @@ def build(params):
     u, c, lam, amap, bmap = recurrence_maps(q, al, be, de)
     uprod = PrefixProduct(u)
 
-    spec = RecurrenceSpec(kind=R_II, c=c, lam=lam, a=amap, b=bmap)
+    spec = RecurrenceSpec(c=c, lam=lam, a=amap, b=bmap)
 
     def minimal(n, z):
         require(al != 0.0 and de != 0.0,

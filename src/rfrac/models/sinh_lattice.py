@@ -13,7 +13,7 @@ from ..errors import CollisionError
 from ..measures import discrete
 from ..qseries import (QContext, TerminatingPhi, mono, multi_q_pochhammer,
                        q_pochhammer, sinh_node, w87)
-from ..recurrence import R_II, RecurrenceSpec
+from ..recurrence import RecurrenceSpec
 from .base import (BiorthFamily, ModelSpec, PrefixProduct, closed_denominator,
                    exp_sinh_inverse, fraction_from_minimal, real_base, require)
 
@@ -152,7 +152,7 @@ def build(params):
     u, c, lam, amap, bmap = _coeff_maps(q, t1, t2, t3, t4)
     uprod = PrefixProduct(u)
 
-    spec = RecurrenceSpec(kind=R_II, c=c, lam=lam, a=amap, b=bmap)
+    spec = RecurrenceSpec(c=c, lam=lam, a=amap, b=bmap)
 
     uv = -rho
 
@@ -168,18 +168,22 @@ def build(params):
               / multi_q_pochhammer(ctx, (-t1 * t2 / q, -t1 * t4 / q,
                                          -t2 * t4 / q ** 2,
                                          -q * q / (t3 * t3))))
+    # mass k is wconst (tp/q^4)^k c_k (1 + q^(2k+2)/t3^2), and c_k alone
+    # overflows as q -> 1, so each mass comes from the last by its ratio
     points = []
-    ck = 1.0 + 0.0j
+    wk = wconst * (1.0 + q * q / (t3 * t3))
     for k in range(_GRID_POINTS):
         zk = 0.5 * (t3 * q ** (-k - 1) - q ** (k + 1) / t3)
-        wk = (wconst * q ** (-4 * k) * ck
-              * (1.0 + q ** (2 * k + 2) / (t3 * t3)) * tp ** k)
         points.append((zk, wk))
-        ck *= ((1.0 + q ** (k + 2) / (t1 * t3)) * (1.0 + q ** (k + 3) / (t2 * t3))
+        wk *= (tp / q ** 4
+               * (1.0 + q ** (k + 2) / (t1 * t3))
+               * (1.0 + q ** (k + 3) / (t2 * t3))
                * (1.0 + q ** (k + 2) / (t3 * t4))
                * (1.0 + q ** (k + 2) / (t3 * t3))
+               * (1.0 + q ** (2 * k + 4) / (t3 * t3))
                / ((1.0 - q ** (k + 1) * t1 / t3) * (1.0 - q ** k * t2 / t3)
-                  * (1.0 - q ** (k + 1) * t4 / t3) * (1.0 - q ** (k + 1))))
+                  * (1.0 - q ** (k + 1) * t4 / t3) * (1.0 - q ** (k + 1))
+                  * (1.0 + q ** (2 * k + 2) / (t3 * t3))))
     measure = discrete(points)
 
     a2 = amap(2)

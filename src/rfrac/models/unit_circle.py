@@ -14,7 +14,7 @@ import numpy as np
 from ..measures import circle_contour
 from ..qseries import (QContext, TerminatingPhi, circle_node, mono,
                        multi_q_pochhammer, q_pochhammer, w87)
-from ..recurrence import R_II, RecurrenceSpec
+from ..recurrence import RecurrenceSpec
 from .base import (BiorthFamily, ModelSpec, PrefixProduct, branch_guard,
                    closed_denominator, q_product_weight, real_base, require)
 
@@ -139,7 +139,7 @@ def build(params):
     u, v, c, lam, amap, bmap = _coeff_maps(q, a, b, t1, t2)
     uprod = PrefixProduct(u)
 
-    spec = RecurrenceSpec(kind=R_II, c=c, lam=lam, a=amap, b=bmap)
+    spec = RecurrenceSpec(c=c, lam=lam, a=amap, b=bmap)
 
     def minimal(n, z):
         zc = complex(z)

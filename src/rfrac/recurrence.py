@@ -10,9 +10,10 @@ lambda_n (z - a_n)(z - b_n) for kind R_II. First kind starts (P_-1, P_0) =
 rationalized sequences, backward minimal-solution estimates, Pincherle
 residuals) is built from that single shape.
 
-The backward sweeps start from the limit-periodic tail root, and a tie
-of the tail roots (z on the support) raises ConvergenceError; see
-_backward_pass.
+The kind follows from the coefficient maps: R_II exactly when the second
+interpolation map b is given. The backward sweeps start from the
+limit-periodic tail root, and a tie of the tail roots (z on the support)
+raises ConvergenceError; see _backward_pass.
 """
 
 import cmath
@@ -33,7 +34,6 @@ __all__ = [
     "R_I",
     "R_II",
     "RecurrenceSpec",
-    "PQPair",
     "MinimalSolutionEstimate",
     "forward",
     "rationalize",
@@ -45,26 +45,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RecurrenceSpec:
-    """Coefficient maps n -> c_n, lambda_n, a_n (and b_n for kind R_II).
+    """Coefficient maps n -> c_n, lambda_n, a_n, and b_n for kind R_II.
 
     Maps are callables defined for n >= 1. lambda_1 may vanish (some models
     start that way); lambda_n for n >= 2 must not, and is checked at query
-    time.
+    time. The kind is R_II exactly when b is given.
     """
 
-    kind: str
     c: object
     lam: object
     a: object
     b: object = None
 
-    def __post_init__(self):
-        if self.kind not in (R_I, R_II):
-            raise DomainError(f"unknown recurrence kind {self.kind!r}")
-        if self.kind == R_II and self.b is None:
-            raise DomainError("kind R_II needs the second interpolation map b")
-        if self.kind == R_I and self.b is not None:
-            raise DomainError("kind R_I carries no second interpolation map")
+    @property
+    def kind(self):
+        return R_I if self.b is None else R_II
 
     def lam_checked(self, n):
         v = complex(self.lam(n))
@@ -75,37 +70,15 @@ class RecurrenceSpec:
     def partial_numerator(self, n, z):
         """w_n(z), the n-th partial numerator of the fraction."""
         w = self.lam_checked(n) * (z - self.a(n))
-        if self.kind == R_II:
+        if self.b is not None:
             w *= z - self.b(n)
         return w
 
     def interpolation_points(self, n):
         """Divisor roots a_{n+1} (and b_{n+1} for R_II) of the n-th level."""
-        if self.kind == R_I:
+        if self.b is None:
             return (complex(self.a(n + 1)),)
         return (complex(self.a(n + 1)), complex(self.b(n + 1)))
-
-
-@dataclass(frozen=True)
-class PQPair:
-    """First and second kind values at a point.
-
-    P holds P_{-1}..P_N (so P[0] is P_{-1}), Q holds Q_0..Q_N.
-    """
-
-    P: list
-    Q: list
-    z: complex
-
-    def p(self, n):
-        return self.P[n + 1]
-
-    def q(self, n):
-        return self.Q[n]
-
-    @property
-    def order(self):
-        return len(self.P) - 2
 
 
 @dataclass(frozen=True)
@@ -131,48 +104,59 @@ class MinimalSolutionEstimate:
 
 
 def forward(spec, z, N):
-    """P_{-1}..P_N and Q_0..Q_N at z by the forward recurrence."""
+    """The lists (P_0..P_N, Q_0..Q_N) at z by the forward recurrence."""
     if N < 0:
         raise DomainError("forward needs N >= 0")
     zc = complex(z)
-    P = [0.0 + 0.0j, 1.0 + 0.0j]
-    Q = [0.0 + 0.0j]
-    if N >= 1:
-        Q.append(1.0 + 0.0j)
+    P = [0.0 + 0.0j, 1.0 + 0.0j]   # P_-1, P_0
+    Q = [0.0 + 0.0j, 1.0 + 0.0j]   # Q_0, Q_1
     for n in range(1, N + 1):
         w = spec.partial_numerator(n, zc)
         P.append((zc - spec.c(n)) * P[n] - w * P[n - 1])
         if n >= 2:
             Q.append((zc - spec.c(n)) * Q[n - 1] - w * Q[n - 2])
-    return PQPair(P=P, Q=Q, z=zc)
+    return P[1:], Q[:N + 1]
 
 
-def rationalize(spec, pq):
+def rationalize(spec, z, P):
     """Divide P_n by its interpolation factors, level by level.
 
-    Returns the list for n = 0..N: P_n(z) / prod_{k=1..n} (z - a_{k+1})
-    for kind R_I, with the (z - b_{k+1}) factors included for kind R_II.
+    P holds P_0..P_N at z, as forward returns it. Returns the list for
+    n = 0..N: P_n(z) / prod_{k=1..n} (z - a_{k+1}) for kind R_I, with the
+    (z - b_{k+1}) factors included for kind R_II.
     """
-    zc = pq.z
+    zc = complex(z)
     tol = _COLLISION_RTOL * max(1.0, abs(zc))
-    out = [pq.p(0)]
+    out = [P[0]]
     denom = 1.0 + 0.0j
-    for k in range(1, pq.order + 1):
+    for k in range(1, len(P)):
         for pt in spec.interpolation_points(k):
             if abs(zc - pt) <= tol:
                 raise CollisionError(
                     f"z = {zc} collides with interpolation point at level {k}")
             denom *= zc - pt
-        out.append(pq.p(k) / denom)
+        out.append(P[k] / denom)
     return out
+
+
+def _rescale(mag):
+    """2^-round(log2 mag) once mag leaves [2^-500, 2^500], else 1: an exact
+    factor, so a rescaled sweep keeps every ratio. inf raises
+    ConvergenceError."""
+    if mag == math.inf:
+        raise ConvergenceError("coefficient overflow in the recurrence")
+    if mag > 2.0**500 or 0.0 < mag < 2.0**-500:
+        return 2.0 ** -round(math.log2(mag))
+    return 1.0
 
 
 def convergents(spec, z, N):
     """Q_n(z)/P_n(z) for n = 1..N.
 
-    The forward recurrence is rescaled jointly by powers of two whenever the
+    The forward recurrence is rescaled jointly by _rescale whenever the
     values leave a safe magnitude band, which leaves every ratio intact.
-    Entries with a vanishing denominator come back as NaN.
+    Entries with a vanishing denominator come back as NaN, and values that
+    overflow raise ConvergenceError.
     """
     if N < 1:
         raise DomainError("convergents needs N >= 1")
@@ -186,17 +170,10 @@ def convergents(spec, z, N):
         s = zc - spec.c(n)
         p_cur, p_prev = s * p_cur - w * p_prev, p_cur
         q_cur, q_prev = s * q_cur - w * q_prev, q_cur
-        big = max(abs(p_cur), abs(p_prev), abs(q_cur), abs(q_prev))
-        if big > 2.0**500:
-            p_cur *= 2.0**-500
-            p_prev *= 2.0**-500
-            q_cur *= 2.0**-500
-            q_prev *= 2.0**-500
-        elif 0.0 < big < 2.0**-500:
-            p_cur *= 2.0**500
-            p_prev *= 2.0**500
-            q_cur *= 2.0**500
-            q_prev *= 2.0**500
+        r = _rescale(max(abs(p_cur), abs(p_prev), abs(q_cur), abs(q_prev)))
+        if r != 1.0:
+            p_cur, p_prev, q_cur, q_prev = (
+                r * p_cur, r * p_prev, r * q_cur, r * q_prev)
         out.append(q_cur / p_cur if p_cur != 0.0 else nan)
     return out
 
@@ -214,27 +191,21 @@ def _sweep_numerator(spec, n, z):
     return w
 
 
-def _tail_root(spec, z, n):
-    """(rho, rate) for the frozen tail t^2 - (z - c_n) t + w_n(z) = 0.
+def _tail_root(s, w):
+    """(rho, rate) for the frozen tail t^2 - s t + w = 0, w != 0.
 
-    rho is the smaller-modulus root, the minimal ratio X_n / X_{n-1} of the
-    recurrence with its coefficients frozen at level n, and rate is
-    |rho_small / rho_big|. The quadratic is scaled so that (z - c_n)^2
-    cannot overflow, and the smaller root is w_n / big, so it does not
-    cancel. Roots tied in modulus (relative gap <= _BACKWARD_TOL) put z on
-    the support, where no solution is minimal: ConvergenceError.
+    With s = z - c_n and w = w_n(z) frozen at level n, rho is the
+    smaller-modulus root, the minimal ratio X_n / X_{n-1} of the frozen
+    recurrence, and rate is |rho_small / rho_big|. The quadratic is scaled
+    so that s^2 cannot overflow, and the smaller root is w / big, so it
+    does not cancel. Roots tied in modulus (rate near 1) leave no solution
+    minimal; each caller decides what that means and says so.
     """
-    w = _sweep_numerator(spec, n, z)
-    s = z - spec.c(n)
     m = max(abs(s), 2.0 * math.sqrt(abs(w)))
     s1, w1 = s / m, w / m / m
     d = cmath.sqrt(s1 * s1 - 4.0 * w1)
     big = (s1 + d if abs(s1 + d) >= abs(s1 - d) else s1 - d) / 2.0
-    rate = abs(w1 / big) / abs(big)
-    if 1.0 - rate <= _BACKWARD_TOL:
-        raise ConvergenceError(
-            f"the tail roots at level {n} tie in modulus; z is on the support")
-    return w / (big * m), rate
+    return w / (big * m), abs(w1 / big) / abs(big)
 
 
 def _backward_pass(spec, z, window, start):
@@ -242,28 +213,34 @@ def _backward_pass(spec, z, window, start):
 
     rho is _tail_root at level start + 1: the sweep starts on the minimal
     solution of the recurrence frozen there, which every model's
-    limit-periodic coefficients approach. Returns (values X_0..X_window
-    scaled to X_0 = 1, ratio_at_0, rate). The sweep rescales by powers of
-    two when it leaves a safe magnitude band; stored window values are
+    limit-periodic coefficients approach. Tail roots tied in modulus
+    (relative gap <= _BACKWARD_TOL) put z on the support, where no
+    solution is minimal: ConvergenceError. Returns (values X_0..X_window
+    scaled to X_0 = 1, ratio_at_0, rate). The sweep rescales by _rescale
+    when it leaves a safe magnitude band; stored window values are
     rescaled along with it, so ratios are untouched.
     """
     if start <= window:
         raise DomainError("start must exceed the reporting window")
     zc = complex(z)
-    hi, rate = _tail_root(spec, zc, start + 1)   # X_{n}
+    n = start + 1
+    w = _sweep_numerator(spec, n, zc)
+    hi, rate = _tail_root(zc - spec.c(n), w)     # X_{n}
+    if 1.0 - rate <= _BACKWARD_TOL:
+        raise ConvergenceError(
+            f"the tail roots at level {n} tie in modulus; z is on the support")
     lo = 1.0 + 0.0j                              # X_{n-1}
     store = {}
     for n in range(start + 1, 1, -1):
         w = _sweep_numerator(spec, n, zc)
         nxt = ((zc - spec.c(n)) * lo - hi) / w   # X_{n-2}
         hi, lo = lo, nxt
-        mag = max(abs(hi), abs(lo))
-        if mag > 2.0**500 or (mag != 0.0 and mag < 2.0**-500):
-            s = 2.0 ** -round(math.log2(mag))
-            hi *= s
-            lo *= s
+        r = _rescale(max(abs(hi), abs(lo)))
+        if r != 1.0:
+            hi *= r
+            lo *= r
             for k in store:
-                store[k] *= s
+                store[k] *= r
         if n - 2 <= window:
             store[n - 2] = lo
     x0, x1 = store[0], store[1]

@@ -13,7 +13,6 @@ from rfrac.recurrence import R_I, R_II, RecurrenceSpec
 def cheb_like_spec(a=1.0, b=4.0):
     root = np.sqrt(a * b)
     return RecurrenceSpec(
-        kind=R_II,
         c=lambda n: -root,
         lam=lambda n: 0.25,
         a=lambda n: a,
@@ -23,7 +22,6 @@ def cheb_like_spec(a=1.0, b=4.0):
 
 def cauchy_like_spec(a, b):
     return RecurrenceSpec(
-        kind=R_II,
         c=lambda n: (n + a - 1) / (2 * n + a - 1 - b),
         lam=lambda n: (n - 1) * (n + a - 1 - b)
         / ((2 * n + a - 1 - b) * (2 * n + a - 3 - b)),
@@ -36,7 +34,6 @@ def geometric_ri_spec(q=0.5, a=0.3, b=0.4):
     # lambda_1 = 0; the associated functional picks the unit normalization
     rq = np.sqrt(q)
     return RecurrenceSpec(
-        kind=R_I,
         c=lambda n: -rq * (1 - b * q ** (n - 1)) / (1 - a * q**n),
         lam=lambda n: rq * (1 - q ** (n - 1)) * (1 - a * b * q ** (n - 1))
         / ((1 - a * q**n) * (1 - a * q ** (n - 1))),
@@ -47,7 +44,6 @@ def geometric_ri_spec(q=0.5, a=0.3, b=0.4):
 def synthetic_ri_spec():
     # nonzero lambda_1 and pairwise distinct interpolation points
     return RecurrenceSpec(
-        kind=R_I,
         c=lambda n: 0.3 + 0.1 * n,
         lam=lambda n: 0.2 + 1.0 / (n + 2),
         a=lambda n: n / 3.0 - 0.8,
@@ -56,7 +52,6 @@ def synthetic_ri_spec():
 
 def synthetic_rii_spec():
     return RecurrenceSpec(
-        kind=R_II,
         c=lambda n: 0.1 * n - 0.3,
         lam=lambda n: 0.15 + 1.0 / (n + 3),
         a=lambda n: 1.5 + n / 4.0,
@@ -157,7 +152,6 @@ def test_build_kind_mismatch_and_degenerate_points():
     with pytest.raises(DomainError):
         build_RII(synthetic_ri_spec(), N0=1.0, N1=0.5)
     bad = RecurrenceSpec(
-        kind=R_II,
         c=lambda n: 1.0,
         lam=lambda n: 0.3,
         a=lambda n: 1.0,   # a_2 = c_1
@@ -170,7 +164,6 @@ def test_build_kind_mismatch_and_degenerate_points():
 def test_singular_rule_and_node_on_pole_raise():
     # lambda_n = 1 gives lead(P_2) = 1 - lambda_2 = 0, so K_2 is singular
     flat = RecurrenceSpec(
-        kind=R_II,
         c=lambda n: 0.5,
         lam=lambda n: 1.0,
         a=lambda n: 2.0 + n,
@@ -181,7 +174,6 @@ def test_singular_rule_and_node_on_pole_raise():
         functional_apply(fn, ("inverse_prefix", 1, 0))
     # a_2 = c_1 makes a_2 a zero of every P_n, so a node sits on the pole
     hit = RecurrenceSpec(
-        kind=R_I,
         c=lambda n: 0.25 * n,
         lam=lambda n: 0.3,
         a=lambda n: 0.25 if n == 2 else 1.0 + n,
@@ -207,7 +199,6 @@ def test_rii_first_moments_match_closed_forms():
 
 def test_rii_coincident_pair_double_pole():
     spec = RecurrenceSpec(
-        kind=R_II,
         c=lambda n: 0.2 * n,
         lam=lambda n: 0.1 + 0.02 * n,
         a=lambda n: 3.0,
@@ -414,7 +405,6 @@ def test_kappa_small_gap_gives_a_value_or_a_typed_error():
 
 def test_kappa_vanishing_tail():
     spec = RecurrenceSpec(
-        kind=R_II,
         c=lambda n: 1.0,
         lam=lambda n: 0.25 if n == 1 else 0.0,
         a=lambda n: 2.0,
@@ -445,7 +435,6 @@ def test_kappa_products_reproduce_norms():
 
 def geometric_tail_spec():
     return RecurrenceSpec(
-        kind=R_II,
         c=lambda n: 1.0,
         lam=lambda n: 0.3 * 0.5**n,
         a=lambda n: 5.0,
@@ -478,13 +467,20 @@ def test_kappa_geometric_tail_reads_few_coefficients():
 
 def test_kappa_divergent_family_raises():
     spec = RecurrenceSpec(
-        kind=R_II,
         c=lambda n: 1.0,
         lam=lambda n: 1.0,
         a=lambda n: 2.0,
         b=lambda n: 3.0,
     )
     with pytest.raises(ConvergenceError):
+        kappa_tails(spec, jmax=2)
+
+
+def test_kappa_non_finite_lambda_raises_at_once():
+    lam = geometric_tail_spec().lam
+    spec = dataclasses.replace(
+        geometric_tail_spec(), lam=lambda n: np.inf if n >= 40 else lam(n))
+    with pytest.raises(ConvergenceError, match="overflow"):
         kappa_tails(spec, jmax=2)
 
 

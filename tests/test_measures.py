@@ -229,6 +229,14 @@ def test_measure_validation():
         Measure(variant="nonsense")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, math.nan)])
+def test_discrete_rejects_non_finite_masses_and_points(bad):
+    with pytest.raises(DomainError, match="finite"):
+        discrete([(0.0, 1.0), (1.0, bad)])
+    with pytest.raises(DomainError, match="finite"):
+        Measure(variant=measures.DISCRETE, points=((bad, 1.0),))
+
+
 def test_scalar_only_closure_is_refused():
     # closures take and return node arrays; float(x) rejects an array, and
     # a closure that returns a scalar has the wrong shape
@@ -317,3 +325,33 @@ def test_gram_ladder_fails_loudly_and_names_open_entries(monkeypatch):
         for v in tb.tb_frame.f_locals.values():
             assert not isinstance(v, np.ndarray) or v.size <= 4
         tb = tb.tb_next
+
+
+def test_gram_ladder_raises_at_the_first_non_finite_level():
+    # an overflowing member stops the ladder at once, before any doubling,
+    # on a continuous rule and on a discrete one alike
+    calls = []
+
+    def blown(x):
+        calls.append(np.size(x))
+        return np.where(x > 0.5, np.inf, 1.0)
+
+    for m in (chebyshev_unit_mass(), discrete([(0.0, 1.0), (1.0, 0.5)])):
+        calls.clear()
+        with pytest.raises(ConvergenceError, match="not finite"):
+            weighted_gram(m, lambda i: blown, lambda j: np.ones_like, 1)
+        assert len(calls) == 1
+
+
+def test_gram_stopping_test_is_relative_to_the_entry_scale():
+    # scaling the measure by 1e-20 scales every entry and its scale alike,
+    # so the ladder takes the same steps; under a test absolute below 1 the
+    # tiny copy would have stopped at the first doubling
+    rows = _poisson_rows((0.5, 0.95))
+    right = [lambda x, k=k: x ** k for k in range(2)]
+    unit = chebyshev_unit_mass()
+    tiny = interval(-1.0, 1.0,
+                    theta_density=lambda th: 1e-20 * unit.theta_density(th))
+    G = weighted_gram(unit, rows.__getitem__, right.__getitem__, 2)
+    g = weighted_gram(tiny, rows.__getitem__, right.__getitem__, 2)
+    assert np.max(np.abs(g * 1e20 - G)) <= 1e-14 * np.max(np.abs(G))

@@ -10,6 +10,7 @@ import pytest
 import rfrac.models.base as base
 from rfrac.errors import (BranchBoundaryError, ConvergenceError, DomainError,
                           OutOfSpanError, PrecisionError)
+from rfrac.favard import kappa_tails
 from rfrac.models import (
     MODEL_NAMES,
     biorth,
@@ -127,6 +128,15 @@ def test_pastro_pairing_guard_raises_at_biorth():
         biorth(m)
 
 
+def test_pastro_kappa_tails_name_the_tie():
+    # lambda_n -> 1/sqrt(2) > 1/4: the lambda tails tie in modulus, which
+    # is a fact about the lambda fraction, not about a point z
+    spec = build("Pastro21").spec
+    with pytest.raises(ConvergenceError, match="tie") as err:
+        kappa_tails(spec, 2)
+    assert "z is on the support" not in str(err.value)
+
+
 def test_rahman_minimal_needs_nonzero_endpoints():
     m = instantiate("Rahman52",
                     {"q": 0.5, "alpha": 0.0, "beta": 0.3, "delta": 0.1})
@@ -210,7 +220,7 @@ NEAR += [pytest.param("Cauchy2F1_32", complex(0.5 + s * NEAR_DIST, 1.0),
                       id=f"Cauchy2F1_32-high-{k}",
                       marks=pytest.mark.xfail(
                           strict=True, raises=ConvergenceError,
-                          reason="ROADMAP item 3: Cauchy2F1_32's near band"))
+                          reason="ROADMAP item 11: Cauchy2F1_32's near band"))
          for k, s in enumerate((1, -1))]
 
 
@@ -292,9 +302,9 @@ def test_closed_polynomial_matches_forward(name):
     m = build(name)
     poly = m.extras["poly"]
     for z in POINTS[name]:
-        pq = forward(m.spec, z, top)
+        P, _ = forward(m.spec, z, top)
         for n in range(top + 1):
-            want = pq.p(n)
+            want = P[n]
             assert abs(poly(n, z) - want) < 1e-10 * abs(want), (n, z)
 
 
@@ -304,12 +314,12 @@ def test_sinh_lattice_closure_ratio():
     m = build("SinhLattice42")
     fam = biorth(m)
     for z in POINTS["SinhLattice42"]:
-        pq = forward(m.spec, z, 8)
+        P, _ = forward(m.spec, z, 8)
         head = 1.0
         for n in range(1, 9):
             head *= z - m.spec.b(n + 1)
             want = m.extras["closure_ratio"](n) * fam.left(n)(z)
-            assert abs(pq.p(n) / head - want) < 1e-10 * abs(want), (n, z)
+            assert abs(P[n] / head - want) < 1e-10 * abs(want), (n, z)
 
 
 @pytest.mark.parametrize("c,k", [(1.0, 1), (0.3 - 0.2j, -2), (0.3 - 0.2j, -1),

@@ -25,7 +25,6 @@ def cheb_spec(a, b):
     # x^n-type: both fundamental solutions are powers of
     # (sqrt(z) +- sqrt(a))(sqrt(z) +- sqrt(b)) / 2
     return RecurrenceSpec(
-        kind=R_II,
         c=lambda n: -math.sqrt(a * b),
         lam=lambda n: 0.25,
         a=lambda n: float(a),
@@ -37,7 +36,6 @@ def geometric_ri_spec(q, a, b):
     # the q-geometric R_I family with lambda_1 = 0
     sq = math.sqrt(q)
     return RecurrenceSpec(
-        kind=R_I,
         c=lambda n: -sq * (1 - b * q ** (n - 1)) / (1 - a * q**n),
         lam=lambda n: sq
         * (1 - q ** (n - 1))
@@ -48,26 +46,21 @@ def geometric_ri_spec(q, a, b):
 
 
 def test_spec_validation():
-    with pytest.raises(DomainError):
-        RecurrenceSpec(kind="T", c=lambda n: 0, lam=lambda n: 1, a=lambda n: 0)
-    with pytest.raises(DomainError):
-        RecurrenceSpec(kind=R_II, c=lambda n: 0, lam=lambda n: 1, a=lambda n: 0)
-    with pytest.raises(DomainError):
-        RecurrenceSpec(
-            kind=R_I, c=lambda n: 0, lam=lambda n: 1, a=lambda n: 0, b=lambda n: 1
-        )
+    # the kind follows from the second interpolation map
+    ri = RecurrenceSpec(c=lambda n: 0, lam=lambda n: 1, a=lambda n: 0)
+    assert ri.kind == R_I
+    assert cheb_spec(1.0, 4.0).kind == R_II
     # vanishing lambda_n for n >= 2 is rejected at query time
-    bad = RecurrenceSpec(kind=R_I, c=lambda n: 0, lam=lambda n: 0.0, a=lambda n: 0)
+    bad = RecurrenceSpec(c=lambda n: 0, lam=lambda n: 0.0, a=lambda n: 0)
     with pytest.raises(DomainError):
         forward(bad, 0.3, 3)
 
 
 def test_forward_initial_conditions():
     spec = cheb_spec(1.0, 4.0)
-    pq = forward(spec, 0.7, 0)
-    assert pq.P == [0.0, 1.0]
-    assert pq.Q == [0.0]
-    assert pq.p(-1) == 0.0 and pq.p(0) == 1.0
+    assert forward(spec, 0.7, 0) == ([1.0], [0.0])
+    P, Q = forward(spec, 0.7, 1)
+    assert P == [1.0, 0.7 + 2.0] and Q == [0.0, 1.0]
 
 
 def test_forward_matches_closed_form():
@@ -79,11 +72,11 @@ def test_forward_matches_closed_form():
         sz = complex(z) ** 0.5
         A = (sz + 1.0) * (sz + 2.0) / 2.0
         B = (sz - 1.0) * (sz - 2.0) / 2.0
-        pq = forward(spec, z, 6)
+        P, _ = forward(spec, z, 6)
         for n in range(7):
             want = sum(A ** (n - j) * B**j for j in range(n + 1))
-            assert pq.p(n) == pytest.approx(want, rel=1e-13)
-    assert forward(spec, 1.0, 1).p(1) == pytest.approx(3.0, rel=1e-15)
+            assert P[n] == pytest.approx(want, rel=1e-13)
+    assert forward(spec, 1.0, 1)[0][1] == pytest.approx(3.0, rel=1e-15)
 
 
 def test_forward_recurrence_defect_and_determinant():
@@ -94,65 +87,63 @@ def test_forward_recurrence_defect_and_determinant():
     bs = rng.uniform(-2, 2, 25) + 2.5
     for kind in (R_I, R_II):
         spec = RecurrenceSpec(
-            kind=kind,
             c=lambda n: cs[n],
             lam=lambda n: ls[n],
             a=lambda n: as_[n],
             b=(lambda n: bs[n]) if kind == R_II else None,
         )
         z = 0.37 + 0.21j
-        pq = forward(spec, z, 20)
+        P, Q = forward(spec, z, 20)
+        assert spec.kind == kind
         det = 1.0 + 0.0j
         for n in range(2, 21):
             w = spec.partial_numerator(n, z)
             # direct substitution into the defining recurrence
-            for fam, lo in ((pq.p, -1), (pq.q, 0)):
-                if fam is pq.q and n - 2 < lo:
-                    continue
-                lhs = fam(n)
-                rhs = (z - spec.c(n)) * fam(n - 1) - w * fam(n - 2)
+            for fam in (P, Q):
+                lhs = fam[n]
+                rhs = (z - spec.c(n)) * fam[n - 1] - w * fam[n - 2]
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
             # determinant identity ties the two families together; the
             # subtraction cancels large products, so scale the tolerance
             # by the products rather than by the small result
             det *= w
-            got = pq.q(n) * pq.p(n - 1) - pq.p(n) * pq.q(n - 1)
-            scale = max(abs(pq.q(n) * pq.p(n - 1)), abs(det), 1.0)
+            got = Q[n] * P[n - 1] - P[n] * Q[n - 1]
+            scale = max(abs(Q[n] * P[n - 1]), abs(det), 1.0)
             assert abs(got - det) <= 1e-13 * scale
 
 
 def test_rationalize_level_zero_is_one():
     spec = cheb_spec(1.0, 4.0)
-    pq = forward(spec, 2.5, 0)
-    assert rationalize(spec, pq) == [1.0 + 0.0j]
+    P, _ = forward(spec, 2.5, 0)
+    assert rationalize(spec, 2.5, P) == [1.0 + 0.0j]
 
 
 def test_rationalize_zero_interpolation_points_divide_by_powers():
     spec = geometric_ri_spec(0.5, 0.2, 0.3)
     z = 0.4 + 0.1j
-    pq = forward(spec, z, 5)
-    rat = rationalize(spec, pq)
+    P, _ = forward(spec, z, 5)
+    rat = rationalize(spec, z, P)
     for n in range(6):
-        assert rat[n] == pytest.approx(pq.p(n) / z**n, rel=1e-14)
+        assert rat[n] == pytest.approx(P[n] / z**n, rel=1e-14)
 
 
 def test_rationalize_direct_division():
     spec = cheb_spec(1.0, 4.0)
     z = 2.5
-    pq = forward(spec, z, 3)
-    rat = rationalize(spec, pq)
+    P, _ = forward(spec, z, 3)
+    rat = rationalize(spec, z, P)
     den = 1.0
     for k in range(1, 4):
         den *= (z - 1.0) * (z - 4.0)
-        assert rat[k] == pytest.approx(pq.p(k) / den, rel=1e-14)
+        assert rat[k] == pytest.approx(P[k] / den, rel=1e-14)
 
 
 def test_rationalize_collision():
     spec = cheb_spec(1.0, 4.0)
     # z = 1 sits on the first interpolation point
-    pq = forward(spec, 1.0, 2)
+    P, _ = forward(spec, 1.0, 2)
     with pytest.raises(CollisionError):
-        rationalize(spec, pq)
+        rationalize(spec, 1.0, P)
 
 
 def test_convergents_first_entry():
@@ -174,11 +165,21 @@ def test_convergents_limit_interior_point():
 def test_convergents_zero_denominator_flagged():
     # P_1(z) = z - c_1 vanishes at z = c_1
     spec = RecurrenceSpec(
-        kind=R_I, c=lambda n: 0.7, lam=lambda n: 0.3, a=lambda n: 5.0
+        c=lambda n: 0.7, lam=lambda n: 0.3, a=lambda n: 5.0
     )
     got = convergents(spec, 0.7, 3)
     assert math.isnan(got[0].real)
     assert not math.isnan(got[1].real)
+
+
+def test_convergents_overflow_is_typed():
+    # a coefficient map that overflows ends the sweep with a typed error,
+    # not with NaN convergents
+    spec = RecurrenceSpec(
+        c=lambda n: math.inf if n >= 3 else 0.5, lam=lambda n: 0.3,
+        a=lambda n: 5.0)
+    with pytest.raises(ConvergenceError, match="overflow"):
+        convergents(spec, 0.7, 5)
 
 
 def test_convergents_rescaling_survives_large_order():
@@ -192,7 +193,6 @@ def test_convergents_rescaling_survives_large_order():
 def test_terminating_fraction_ri():
     as_ = [0.0, 0.9, -1.1, 0.25, 1.7, -0.6, 2.2, 0.4, -1.9, 3.0, 1.3]
     spec = RecurrenceSpec(
-        kind=R_I,
         c=lambda n: 0.3 + 0.1 * n,
         lam=lambda n: 0.8 - 0.05 * n,
         a=lambda n: as_[n],
@@ -209,7 +209,6 @@ def test_terminating_fraction_rii():
     as_ = [0.0, 0.9, -1.1, 0.25, 1.7, -0.6, 2.2, 0.4, -1.9, 3.0, 1.3]
     bs = [0.0, 2.9, 3.1, 2.25, 3.7, 2.6, 4.2, 2.4, 3.9, 5.0, 3.3]
     spec = RecurrenceSpec(
-        kind=R_II,
         c=lambda n: 0.3 + 0.1 * n,
         lam=lambda n: 0.8 - 0.05 * n,
         a=lambda n: as_[n],
@@ -247,11 +246,9 @@ def test_minimal_solution_backward_constant_family():
 
 
 def test_tail_root_does_not_overflow_or_cancel():
-    # (z - c_n)^2 overflows long before z - c_n does; the small root is
-    # w_n / (z - c_n) to first order and must not cancel to 0
-    spec = RecurrenceSpec(
-        kind=R_I, c=lambda n: -1e200, lam=lambda n: 1.0, a=lambda n: 0.0)
-    rho, rate = recurrence._tail_root(spec, 0.5 + 0.0j, 41)
+    # s^2 overflows long before s does; the small root is w / s to first
+    # order and must not cancel to 0 (s = z - c_n at z = 0.5, c_n = -1e200)
+    rho, rate = recurrence._tail_root(0.5 + 1e200 + 0.0j, 0.5 + 0.0j)
     assert rho == pytest.approx(0.5 / 1e200, rel=1e-15)
     assert rate == 0.0
 
