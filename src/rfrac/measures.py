@@ -3,7 +3,12 @@
 Densities, weights and integrands always arrive as closures from the
 caller; this module only integrates them. Every closure takes an array of
 nodes and returns an array of the same shape; there is no scalar fallback,
-and a closure that returns anything else raises TypeError.
+and a closure that returns anything else raises TypeError. The series
+members (``qseries.TerminatingPhi``) are closures too, but a level hands
+each run of them to ``qseries.sum_batch`` at once, which gives every member
+its own values to the bit. They are known by type, not by attribute: a
+wrapper that copies a member's attributes is called on its own, like any
+closure.
 
 Every measure has a rule n -> (nodes, weights), and one ladder refines it
 by node doublings, starting at ``_NODES`` nodes and doubling at most
@@ -25,12 +30,14 @@ constants, so every caller integrates the same way. Reductions run in a
 fixed index order, which keeps results bit-stable.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SupportProximityError
+from .qseries import TerminatingPhi, sum_batch
 
 __all__ = [
     "CIRCLE",
@@ -149,10 +156,17 @@ def _eval_nodes(f, pts):
 
 
 def _eval_rows(fs, pts):
-    """Row k holds fs[k] at every node."""
+    """Row k holds fs[k] at every node; each run of series members is one
+    ``sum_batch``, and any other closure is called on its own."""
     out = np.empty((len(fs), len(pts)), dtype=complex)
-    for k, f in enumerate(fs):
-        out[k] = _eval_nodes(f, pts)
+    k = 0
+    for kernel, run in itertools.groupby(
+            fs, key=lambda f: isinstance(f, TerminatingPhi)):
+        run = list(run)
+        rows = ([r.value for r in sum_batch(run, pts)] if kernel
+                else [_eval_nodes(f, pts) for f in run])
+        out[k:k + len(run)] = rows
+        k += len(run)
     return out
 
 

@@ -22,10 +22,11 @@ The model modules build those closures from the shared pieces here:
 
 The biorthogonal members are terminating basic series. A model declares
 each member as a ``qseries.TerminatingPhi``: its parameters as monomials
-in the model's own doubles and the node variable e (``qseries.mono``), and
-the map from node to e. The kernel forms the parameters and sums the
-series in double-double over a whole node array, so every member closure
-takes and returns node arrays.
+in the model's own doubles and the node variable e (``qseries.mono``), the
+map from node to e, and a constant prefactor if it has one. The member is
+itself the closure, taking and returning node arrays; the Gram ladder
+sums each side's open members together (``qseries.sum_batch``), and a
+member called alone is the batch of one, with the same values to the bit.
 """
 
 import cmath

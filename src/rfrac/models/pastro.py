@@ -62,15 +62,16 @@ def _solution_outer(ctx, a, b, n, z):
 
 
 def _poly_first(ctx, a, b, m, s):
-    """The degree-m polynomial in z = t**s, as a closure on node arrays:
-    q^(m/2) (b; q)_m / (a q; q)_m 2phi1(q^-m, a q; q^(1-m)/b; q, z sqrt(q)/b)."""
+    """The degree-m polynomial in z = t**s, as a kernel member on node
+    arrays: q^(m/2) (b; q)_m / (a q; q)_m
+    2phi1(q^-m, a q; q^(1-m)/b; q, z sqrt(q)/b)."""
     q = ctx.q
     pref = (q ** (0.5 * m) * q_pochhammer(ctx, b, m)
             / q_pochhammer(ctx, a * q, m))
-    series = TerminatingPhi(q, (mono((q, -m)), mono(a, q)),
-                            (mono((q, 1 - m), (b, -1)),),
-                            mono((q, 0.5), (b, -1), e=s), circle_node)
-    return lambda t: pref * series(t)
+    return TerminatingPhi(q, (mono((q, -m)), mono(a, q)),
+                          (mono((q, 1 - m), (b, -1)),),
+                          mono((q, 0.5), (b, -1), e=s), circle_node,
+                          scale=pref)
 
 
 def build(params):

@@ -9,7 +9,7 @@ that expansion doubles as the model's measure.
 
 import cmath
 
-from ..errors import CollisionError
+from ..errors import CollisionError, ConvergenceError, DomainError
 from ..measures import discrete
 from ..qseries import (QContext, TerminatingPhi, mono, multi_q_pochhammer,
                        q_pochhammer, sinh_node, w87)
@@ -19,7 +19,13 @@ from .base import (BiorthFamily, ModelSpec, PrefixProduct, closed_denominator,
 
 NAME = "SinhLattice42"
 
+# The grid takes at least _GRID_POINTS points, and more until the bound on
+# its truncated tail is below _GRID_TAIL of its mass, the double-double
+# unit: the Gram's high-degree norms sit far below its low-degree ones
+# (h_7 / h_0 = 1e-17 at q = 0.98). Past _GRID_CAP points it raises.
 _GRID_POINTS = 80
+_GRID_TAIL = 2.0 ** -106
+_GRID_CAP = 640
 
 
 def _checked(params):
@@ -169,21 +175,36 @@ def build(params):
                                          -t2 * t4 / q ** 2,
                                          -q * q / (t3 * t3))))
     # mass k is wconst (tp/q^4)^k c_k (1 + q^(2k+2)/t3^2), and c_k alone
-    # overflows as q -> 1, so each mass comes from the last by its ratio
+    # overflows as q -> 1, so each mass comes from the last by its ratio.
+    # The ratios settle towards tp/q^4, so the tail past a point is bounded
+    # by r/(1 - r) |w_k| with r the next ratio
     points = []
     wk = wconst * (1.0 + q * q / (t3 * t3))
-    for k in range(_GRID_POINTS):
+    if wk == 0.0:
+        raise DomainError("the grid masses underflow to 0 at this q")
+    mass = 0.0
+    for k in range(_GRID_CAP):
         zk = 0.5 * (t3 * q ** (-k - 1) - q ** (k + 1) / t3)
         points.append((zk, wk))
-        wk *= (tp / q ** 4
-               * (1.0 + q ** (k + 2) / (t1 * t3))
-               * (1.0 + q ** (k + 3) / (t2 * t3))
-               * (1.0 + q ** (k + 2) / (t3 * t4))
-               * (1.0 + q ** (k + 2) / (t3 * t3))
-               * (1.0 + q ** (2 * k + 4) / (t3 * t3))
-               / ((1.0 - q ** (k + 1) * t1 / t3) * (1.0 - q ** k * t2 / t3)
-                  * (1.0 - q ** (k + 1) * t4 / t3) * (1.0 - q ** (k + 1))
-                  * (1.0 + q ** (2 * k + 2) / (t3 * t3))))
+        mass += abs(wk)
+        ratio = (tp / q ** 4
+                 * (1.0 + q ** (k + 2) / (t1 * t3))
+                 * (1.0 + q ** (k + 3) / (t2 * t3))
+                 * (1.0 + q ** (k + 2) / (t3 * t4))
+                 * (1.0 + q ** (k + 2) / (t3 * t3))
+                 * (1.0 + q ** (2 * k + 4) / (t3 * t3))
+                 / ((1.0 - q ** (k + 1) * t1 / t3) * (1.0 - q ** k * t2 / t3)
+                    * (1.0 - q ** (k + 1) * t4 / t3) * (1.0 - q ** (k + 1))
+                    * (1.0 + q ** (2 * k + 2) / (t3 * t3))))
+        r = abs(ratio)
+        if (k + 1 >= _GRID_POINTS and r < 1.0
+                and r / (1.0 - r) * abs(wk) <= _GRID_TAIL * mass):
+            break
+        wk *= ratio
+    else:
+        raise ConvergenceError(
+            f"the grid's truncated tail still exceeds {_GRID_TAIL:.3g} of "
+            f"its mass at {_GRID_CAP} points")
     measure = discrete(points)
 
     a2 = amap(2)

@@ -13,14 +13,18 @@ QContext carries only the base q.
 terminating r+1 phi r series whose parameters and argument are each a
 constant times q^(jn) times e^(+-1) (``mono``), with e the node variable a
 model maps its nodes to (``circle_node``, ``segment_node``, ``sinh_node``).
-It forms the parameters and sums over a whole node array in double-double,
-finds the stop once, checks the lower factors for poles in one array test,
-and reports the cancellation condition, raising PrecisionError past
-``_DD_REACH``.
+``sum_batch`` sums a list of members over a whole node array in
+double-double, in one pass for each run of members that share a layout,
+and gives each member the values it would get alone, bit for bit. The
+checks stay per member: each finds its own stop, tests its own lower
+factors for poles and reports its own cancellation condition, raising
+PrecisionError past ``_DD_REACH``; a batch raises the first member's
+error, in order.
 """
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +58,7 @@ __all__ = [
     "gamma_fn",
     "mono",
     "TerminatingPhi",
+    "sum_batch",
     "circle_node",
     "segment_node",
     "sinh_node",
@@ -440,7 +445,9 @@ def _monomial(factors):
     """prod(v ** k) over a parameter's factors, formed in double-double.
 
     Members of one family share most of their constants, so each is formed
-    once.
+    once. It stays one factor tuple at a time, in Python scalars: numpy's
+    complex multiply fuses multiply and add where the CPU can, Python's
+    never does, so an array form over many tuples would move bits.
     """
     out = _DD.of(1 + 0j)
     for v, k in factors:
@@ -457,12 +464,6 @@ def _monomial(factors):
         if abs(k) % 1:
             out = out * base.sqrt()
     return out
-
-
-def _monomials(params):
-    """The constants of ``params`` as one double-double array."""
-    ds = [_monomial(factors) for factors, _ in params]
-    return _DD(np.array([d.hi for d in ds]), np.array([d.lo for d in ds]))
 
 
 def _tree(x, combine, pad):
@@ -498,36 +499,28 @@ def _mapped(node, dtype, data, inverse):
     return out
 
 
-def _pole_free(factor):
-    """A lower factor 1 - l q^k, refused where it vanishes."""
-    if np.any(np.abs(factor.hi) < _POLE_ATOL):
-        raise PoleError("zero denominator factor in TerminatingPhi")
-    return factor
-
-
 class TerminatingPhi:
     """A terminating r+1 phi r series, summed over node arrays in double-double.
 
-    The series is sum_k prod (u; q)_k / ((q; q)_k prod (l; q)_k) z^k. Every
-    upper parameter u, lower parameter l and the argument z is given by
-    ``mono`` as a constant times a power of q and of the node variable e;
-    ``node`` maps a node array to e in double-double (``circle_node``,
-    ``segment_node`` or ``sinh_node``). The kernel forms every parameter in
-    double-double from the model's own doubles, so that the exact relations
-    between them (q^-n against q^n, conjugate pairs, shared factors)
-    survive rounding. The stop, the smallest m with an upper parameter free
-    of e equal to q^-m, is found once, and the factors free of e are formed
-    once, here; a call sums over its whole node array at once.
+    The series is sum_k prod (u; q)_k / ((q; q)_k prod (l; q)_k) z^k, times
+    ``scale`` when one is given. Every upper parameter u, lower parameter l
+    and the argument z is given by ``mono`` as a constant times a power of
+    q and of the node variable e; ``node`` maps a node array to e in
+    double-double (``circle_node``, ``segment_node`` or ``sinh_node``). The
+    kernel forms every parameter in double-double from the model's own
+    doubles, so that the exact relations between them (q^-n against q^n,
+    conjugate pairs, shared factors) survive rounding.
 
-    Calling the object returns the sums as doubles, in the nodes' shape.
-    ``sum`` returns them in a SeriesResult whose ``condition`` is the max
-    over the nodes of sum |term| divided by the max over the nodes of
-    |sum term|. A call raises PrecisionError when condition * 2^-104
-    exceeds ``_DD_REACH``, and PoleError when a lower factor vanishes at a
-    node.
+    The constructor does the scalar work: the stop, the smallest m with an
+    upper parameter free of e equal to q^-m; a PoleError when a lower
+    factor free of e vanishes (a test in doubles); and the layout, which
+    parameters hold e and which pairs c e, +-c/e on one side fold into one
+    factor 1 +- c^2 - c (e +- 1/e). The array constants are formed by the
+    first ``sum_batch`` that holds the member and kept on it. ``sum`` is
+    the batch of one, and calling the object returns ``sum(x).value``.
     """
 
-    def __init__(self, q, upper, lower, arg, node):
+    def __init__(self, q, upper, lower, arg, node, scale=None):
         if len(upper) != len(lower) + 1:
             raise DomainError("TerminatingPhi sums r+1 phi r series only")
         free = [math.prod(complex(v) ** k for v, k in factors)
@@ -537,73 +530,184 @@ class TerminatingPhi:
             raise DomainError("TerminatingPhi needs an upper parameter q^-m")
         # (q; q)_k counts as one more lower parameter, q
         params = [*upper, *lower, mono(q)]
-        n = len(params)
-        c = _monomials([*params, arg] + [mono((q, k)) for k in range(stop)])
-        coef = c[:n, None] * c[None, n + 1:]   # each parameter times q^k
-        up = np.arange(n) < len(upper)
-        e = np.array([p[1] for p in params])
-        # the factors free of e make rho_k, with the argument if it is free
-        free, top = _ONE - coef[e == 0], up[e == 0]
-        self.rho = (_product(free[top])
-                    / _product(_pole_free(free[~top])))[:, None]
-        if arg[1] == 0:
-            self.rho = self.rho * c[n]
-        # the e-dependent factors 1 - c e^s, formed per call, as
-        # (head, c, key, upper) with factor head - c * pick[key]; a pair
-        # c e, +-c/e on one side folds into 1 +- c^2 - c (e +- 1/e)
-        self.dep, rows = [], [i for i in range(n) if e[i]]
+        e = tuple(p[1] for p in params)
+        up = tuple(i < len(upper) for i in range(len(params)))
+        self.consts = c = [_monomial(f) for f, _ in (*params, arg)]
+        self.powers = [_monomial(((q, k),)) for k in range(stop)]
+        for i in range(len(upper), len(params)):
+            if not e[i] and any(abs(1.0 - c[i].hi * p.hi) < _POLE_ATOL
+                                for p in self.powers):
+                raise PoleError("zero denominator factor in TerminatingPhi")
+        # each factor holding e as (i, key, upper): 1 - c_i q^k pick[key],
+        # or for a folded pair, with c_i the one on e, 1 +- c_i^2 q^2k -
+        # c_i q^k pick[key] with key "+" or "-"
+        dep, rows = [], [i for i in range(len(params)) if e[i]]
         while rows:
             i = rows.pop(0)
-            entry = (_ONE, coef[i, :, None], e[i], up[i])
+            entry = (i, e[i], up[i])
             for j in rows:
-                same = c.hi[j] == c.hi[i] and c.lo[j] == c.lo[i]
-                opposite = c.hi[j] == -c.hi[i] and c.lo[j] == -c.lo[i]
+                same = c[j].hi == c[i].hi and c[j].lo == c[i].lo
+                opposite = c[j].hi == -c[i].hi and c[j].lo == -c[i].lo
                 if e[j] == -e[i] and up[j] == up[i] and (same or opposite):
                     rows.remove(j)
-                    plus = coef[i if e[i] > 0 else j]
-                    square = plus * plus
-                    head = _ONE + (square if same else -square)
-                    entry = (head[:, None], plus[:, None], "+" if same else "-",
-                             up[i])
+                    entry = (i if e[i] > 0 else j, "+" if same else "-", up[i])
                     break
-            self.dep.append(entry)
-        self.stop, self.node, self.arg = stop, node, (c[n], arg[1])
-        self.inverse = bool((e < 0).any()) or arg[1] < 0
+            dep.append(entry)
+        self.stop, self.node, self.scale = stop, node, scale
+        self.layout = (node, e, up, tuple(dep), arg[1])
+        self.table = None
 
     def sum(self, x):
-        x = np.asarray(x)
-        flat = np.ascontiguousarray(x.reshape(-1))
-        pick = _mapped(self.node, flat.dtype.str, flat.tobytes(), self.inverse)
-        # R[k] = term k+1 / term k at every node, a fresh array
-        num, den = self.rho, _ONE
-        for head, coef, key, upper in self.dep:
-            f = head - coef * pick[key]
-            if upper:
-                num = num * f
-            else:
-                den = den * _pole_free(f)
-        R = num / den
-        if self.arg[1]:
-            R = R * (self.arg[0] * pick[self.arg[1]])
-        # term k+1 is R[0] ... R[k]: a doubling scan, then a tree sum
-        d = 1
-        while d < self.stop:
-            step = R[d:] * R[:-d]
-            R.hi[d:], R.lo[d:] = step.hi, step.lo
-            d *= 2
-        S = _DD.of(np.ones(x.size))
-        if self.stop:
-            S = S + _tree(R, _DD.__add__, 0.0)
-        value = S.hi + S.lo
-        total = 1.0 + np.abs(R.hi).sum(axis=0)
-        top = np.abs(value).max()
-        condition = float(total.max() / top) if top > 0.0 else INF
-        if condition * _UNIT_DD > _DD_REACH:
-            raise PrecisionError(
-                f"the series cancels past double-double: condition "
-                f"{condition:.3g} at stop {self.stop}")
-        return SeriesResult(value.reshape(x.shape)[()], self.stop + 1, 0.0,
-                            condition)
+        return sum_batch([self], x)[0]
 
     def __call__(self, x):
         return self.sum(x).value
+
+
+def sum_batch(members, x):
+    """The SeriesResults of TerminatingPhi ``members`` at the nodes x.
+
+    Each run of consecutive members that share a layout is summed in one
+    pass, and every member gets the values it gets alone, bit for bit. The
+    checks are per member, in order, as one by one: the first member whose
+    lower factor vanishes at a node raises PoleError, and the first whose
+    condition (the max over the nodes of sum |term| over the max over the
+    nodes of |sum term|) times 2^-104 exceeds ``_DD_REACH`` raises
+    PrecisionError.
+    """
+    x = np.asarray(x)
+    flat = np.ascontiguousarray(x.reshape(-1))
+    out = []
+    for _, run in itertools.groupby(members, key=lambda m: m.layout):
+        run = list(run)
+        fresh = [m for m in run if m.table is None]
+        if fresh:
+            _form_tables(fresh)
+        values, conditions = _sum_run(run, flat)
+        for m, value, condition in zip(run, values, conditions):
+            value = value.reshape(x.shape)[()]
+            if m.scale is not None:
+                value = m.scale * value
+            out.append(SeriesResult(value, m.stop + 1, 0.0, condition))
+    return out
+
+
+def _owners(stops):
+    """Per ragged row, the member it belongs to and its term index there."""
+    owner = np.repeat(np.arange(len(stops)), stops)
+    start = np.repeat(np.cumsum(stops) - stops, stops)
+    return owner, np.arange(len(owner)) - start
+
+
+def _form_tables(members):
+    """The constants of members that share a layout, in one pass.
+
+    They are formed element by element as for each member alone, on a
+    (parameters) x (sum of the stops) array, and each member keeps its
+    columns: rho_k, the product of its factors free of e; per factor
+    holding e its head 1 +- c^2 q^2k if folded, then its coefficient; and
+    the argument's constant if the argument holds e.
+    """
+    _, e, up, dep, arg_e = members[0].layout
+    n = len(e)
+    consts = [c for m in members for c in m.consts]
+    powers = [p for m in members for p in m.powers]
+    P = _DD(*(np.array([getattr(c, h) for c in consts]).reshape(-1, n + 1).T
+              for h in ("hi", "lo")))
+    Q = _DD(*(np.array([getattr(p, h) for p in powers], dtype=complex)
+              for h in ("hi", "lo")))
+    C = P[:, _owners([m.stop for m in members])[0]]
+    coef = C[:n] * Q            # each parameter times q^k
+    free = np.array(e) == 0
+    top = np.array(up)[free]
+    f = _ONE - coef[free]
+    cols = [_product(f[top]) / _product(f[~top])]
+    if arg_e == 0:
+        cols[0] = cols[0] * C[n]
+    for i, key, _ in dep:
+        if key in ("+", "-"):
+            square = coef[i] * coef[i]
+            cols.append(_ONE + (square if key == "+" else -square))
+        cols.append(coef[i])
+    if arg_e:
+        cols.append(C[n])
+    hi, lo = np.stack([c.hi for c in cols]), np.stack([c.lo for c in cols])
+    end = 0
+    for m in members:
+        m.table = _DD(hi[:, end:end + m.stop], lo[:, end:end + m.stop])
+        end += m.stop
+
+
+def _ratios(members, x, owner):
+    """R[k] = term k+1 / term k of members that share a layout, on one
+    ragged (sum of the stops) x nodes array."""
+    node, e, _, dep, arg_e = members[0].layout
+    T = _DD(np.concatenate([m.table.hi for m in members], axis=1),
+            np.concatenate([m.table.lo for m in members], axis=1))[:, :, None]
+    pick = _mapped(node, x.dtype.str, x.tobytes(),
+                   any(s < 0 for s in e) or arg_e < 0)
+    num, den, r = T[0], _ONE, 1
+    for i, key, upper in dep:
+        head = _ONE
+        if key in ("+", "-"):
+            head, r = T[r], r + 1
+        f = head - T[r] * pick[key]
+        r += 1
+        if upper:
+            num = num * f
+            continue
+        vanish = (np.abs(f.hi) < _POLE_ATOL).any(axis=1)
+        if vanish.any():
+            # an error of an earlier member comes first, as one by one
+            earlier = members[:owner[np.argmax(vanish)]]
+            if earlier:
+                _sum_run(earlier, x)
+            raise PoleError("zero denominator factor in TerminatingPhi")
+        den = den * f
+    R = num / den
+    if arg_e:
+        R = R * (T[r] * pick[arg_e])
+    return R
+
+
+def _sum_run(members, x):
+    """Values and conditions of members that share a layout, at flat x.
+
+    The ratios are formed and prefix-multiplied on ragged rows; the tree
+    sum runs on a (rows) x members x nodes array whose rows, a power of two
+    at least the largest stop, are zero past each member's stop. Traps:
+    - only ragged rows meet a pole test or a division, so the padding
+      raises no spurious PoleError and no RuntimeWarning;
+    - every row at or past a member's stop must be an exact zero before
+      the tree sum: a pairwise tree with zero rows at the end then gives
+      each member its own tree's sum;
+    - the condition is each member's own, never the batch's.
+    """
+    stops = np.array([m.stop for m in members])
+    owner, term = _owners(stops)
+    R = _ratios(members, x, owner)
+    # term k+1 is R[0] ... R[k]: a doubling scan within each member's rows
+    K, M = len(members), int(stops.max())
+    d = 1
+    while d < M:
+        rows = np.flatnonzero(term >= d)
+        step = R[rows] * R[rows - d]
+        R.hi[rows], R.lo[rows] = step.hi, step.lo
+        d *= 2
+    shape = (1 << (M - 1).bit_length() if M else 0, K, x.size)
+    terms = _DD(np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex))
+    terms.hi[term, owner], terms.lo[term, owner] = R.hi, R.lo
+    S = _DD.of(np.ones((K, x.size)))
+    if M:
+        S = S + _tree(terms, _DD.__add__, 0.0)
+    values = S.hi + S.lo
+    totals = (1.0 + np.abs(terms.hi).sum(axis=0)).max(axis=1)
+    conditions = []
+    for m, total, top in zip(members, totals, np.abs(values).max(axis=1)):
+        condition = float(total / top) if top > 0.0 else INF
+        if condition * _UNIT_DD > _DD_REACH:
+            raise PrecisionError(
+                f"the series cancels past double-double: condition "
+                f"{condition:.3g} at stop {m.stop}")
+        conditions.append(condition)
+    return values, conditions

@@ -54,8 +54,8 @@ GRAM_CASES["Rahman52_generic"] = (
 # (diagonal, off-diagonal), both relative as the gram benchmark scores
 # them: |G_ii - h_i| <= d |h_i| and |G_ij| <= o sqrt|h_i h_j|
 GRAM_TOL = {
-    "Pastro21": (1e-8, 1e-8),
-    "ChebyshevR2_31": (1e-8, 1e-8),
+    "Pastro21": (1e-12, 1e-12),
+    "ChebyshevR2_31": (1e-12, 1e-12),
     "Cauchy2F1_32": (1e-11, 1e-11),
     "UnitCircle41": (1e-12, 1e-12),
     "SinhLattice42": (1e-12, 1e-12),

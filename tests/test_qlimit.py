@@ -2,12 +2,14 @@
 
 At q = 0.95 and 0.98, with the other parameters at their tier-1 values,
 the order-8 Gram matches the closed norms and the fraction's three
-evaluations agree, within the relative bounds below.
+evaluations agree, within the relative bounds below. SinhLattice42's grid
+also holds its Gram at q = 0.99, and raises a typed error past doubles.
 """
 
 import numpy as np
 import pytest
 
+from rfrac.errors import ConvergenceError, DomainError
 from rfrac.measures import weighted_gram
 from rfrac.models import biorth, instantiate
 from rfrac.recurrence import convergents, minimal_solution_backward
@@ -37,17 +39,12 @@ def gram_error(name, q):
     G = weighted_gram(fam.pairing, fam.left, fam.right, 8)
     h = np.array([fam.norm(i) for i in range(8)])
     assert np.all(np.isfinite(G)) and np.all(np.isfinite(h))
-    return np.max(np.abs(G - np.diag(h)) / np.sqrt(np.abs(np.outer(h, h))))
+    # sqrt|h_i| sqrt|h_j|, as h_i h_j overflows at q = 0.99
+    root = np.sqrt(np.abs(h))
+    return np.max(np.abs(G - np.diag(h)) / np.outer(root, root))
 
 
-GRAM_CASES = [
-    pytest.param(name, q, id=f"{name}-{q}",
-                 marks=pytest.mark.xfail(
-                     strict=True,
-                     reason="ROADMAP item 21: 80 grid points truncate "
-                            "SinhLattice42's measure at q = 0.98")
-                 if (name, q) == ("SinhLattice42", 0.98) else ())
-    for name in PARAMS for q in QS]
+GRAM_CASES = [(name, q) for name in PARAMS for q in QS]
 
 
 @pytest.mark.parametrize("name,q", GRAM_CASES)
@@ -63,6 +60,24 @@ def test_sinh_lattice_gram_is_finite_at_q_098():
     m = build("SinhLattice42", 0.98)
     assert all(np.isfinite(complex(w)) for _, w in m.measure.points)
     gram_error("SinhLattice42", 0.98)
+
+
+@pytest.mark.parametrize("q,points", [(0.8, 80), (0.98, 118), (0.99, 207)])
+def test_sinh_lattice_grid_grows_to_its_tail_bound(q, points):
+    # the grid keeps 80 points while they hold the measure, and grows as
+    # q -> 1 until its truncated tail is below 2^-106 of the mass; at
+    # q = 0.99 the norms reach 1.7e218 and the Gram still matches them
+    assert len(build("SinhLattice42", q).measure.points) == points
+    assert gram_error("SinhLattice42", q) <= GRAM_TOL
+
+
+@pytest.mark.parametrize("q,error", [(0.995, DomainError),
+                                     (0.999, ConvergenceError)])
+def test_sinh_lattice_grid_raises_past_its_reach(q, error):
+    # at q = 0.995 every grid mass underflows to 0; at q = 0.999 the
+    # masses still rise at the grid's cap of 640 points
+    with pytest.raises(error):
+        build("SinhLattice42", q)
 
 
 @pytest.mark.parametrize("name", PARAMS)
